@@ -39,10 +39,8 @@ from . import geomlab as G
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, np.generic):  # numpy bool, integer and float scalars
+        return obj.item()
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -155,7 +153,12 @@ def _parse_rho(spec: str):
         return D.ConstantDensity(Fraction(rest))
     if kind == "chessboard":
         with open(rest) as fh:
-            return D.ChessboardDensity.from_json(json.load(fh))
+            doc = json.load(fh)  # as the chessboard command writes it
+        try:
+            return D.ChessboardDensity.from_json(doc["result"]["density"])
+        except (KeyError, TypeError) as exc:
+            raise ConfigurationError(
+                f"{rest}: not a chessboard output ({exc!r})") from None
     raise ConfigurationError(f"cannot parse density spec {spec!r}")
 
 
@@ -203,7 +206,8 @@ def _cmd_params(a):
     max_levels = int(a.get("max_levels", 48))
     if not (0.0 < eps < 1.0):
         raise ConfigurationError(f"eps must lie in (0,1), got {eps}")
-    trace = P.param_sequence(d, m, eps, c, max_levels)
+    cert = P.certify_r(d, m, eps, c, max_levels) if a.get("certify", True) else None
+    trace = cert.trace if cert else P.param_sequence(d, m, eps, c, max_levels)
     rows, cols = [], ["i", "log_c_i", "N_i", "M_i", "log_ell_i", "upsilon_i"]
     for rec in trace.levels:
         ups = math.exp(P.upsilon_log(d, m, eps, rec.log_sidelength))
@@ -213,12 +217,13 @@ def _cmd_params(a):
         "theta": P.theta(d, m, eps) if d >= 2 else None,
         "clamped": trace.clamped,
     }
-    if a.get("certify", True):
-        cert = P.certify_r(d, m, eps, c, max_levels)
+    if cert:
         summary["r"] = cert.r
         summary["r_mode"] = cert.mode
-        summary["kappa"] = P.kappa(d, m, float(a.get("L", 1.0)),
-                                   int(a.get("k", 1)), eps, c, max_levels)
+        # kappa reuses cert unless L*sqrt(k) > 1 rescales the level sequence
+        m_bar = P.rescaled_modulus(m, float(a.get("L", 1.0)), int(a.get("k", 1)))
+        kappa_cert = cert if m_bar is m else P.certify_r(d, m_bar, eps, c, max_levels)
+        summary["kappa"] = P.kappa_from_certificate(kappa_cert, m)
     return summary, rows, cols, None, False
 
 
@@ -463,8 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; execution is serial")
     common.add_argument("--out", help="output path prefix (writes .json/.csv/.svg)")
     common.add_argument("--format", choices=["csv", "json"], default="json",
                         help="stdout format when --out is not given")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath as mp
 
@@ -327,34 +327,49 @@ class _FarRegime:
     the half-log being the Euler-Maclaurin correction of the discrete step
     sum.  All arithmetic runs under mpmath because the num-iter inequality
     is decided by margins of order phi (1e-34 and below).
+
+    Anchored at the first level past the trace's exact scan; callers evaluate
+    it under ``mp.workdps(model.dps)``, the precision it was built at.
     """
 
-    def __init__(self, d: int, m: Modulus, eps: float, x0: float, i0: int):
+    def __init__(self, trace: ParamTrace, m: Modulus):
         form = _log_linear_form(m)
         if form is None:
             raise UnterminatedError(
                 "far-regime certification only applies to identity/logpow "
                 "moduli and their scalings")
-        self.d, self.m, self.eps = d, m, eps
-        self.log_lam = mp.mpf(form[0])
-        self.alpha = mp.mpf(form[1])
-        self.x0 = mp.mpf(x0)
-        self.i0 = i0  # level index whose x equals x0
-        self.log8 = mp.log(8)
-        self.log_lim = mp.log(m.eval_limit())
+        self.m, self.c = m, trace.c
+        self.dps = _dps_for(trace.phi_log)
+        self.i0 = len(trace.levels) + 1  # level index whose x equals x0
+        with mp.workdps(self.dps):
+            self.log_lam = mp.mpf(form[0])
+            self.alpha = mp.mpf(form[1])
+            self.x0 = mp.mpf(-trace.log_c_at(self.i0))
+            self.log8 = mp.log(8)
+            self.log_lim = mp.log(m.eval_limit())
 
-        # flatten the dimension recursion into per-dimension constants
-        self.chain = []  # for j = 2..d: (log phi_j, log ceil(6/eps_j))
-        eps_j = eps
-        for j in range(d, 1, -1):
-            self.chain.append((j, mp.mpf(phi_log(j, m, eps_j)),
-                               mp.log(_snap_ceil(6.0 / eps_j))))
-            eps_j = theta(j, m, eps_j)
-        self.chain.reverse()  # ascending j
-        self.log_n1 = mp.log(max(2, _snap_ceil(6.0 / eps_j)))
-        self.log_m1 = mp.log(_bigm_cached(2, 1, m, eps_j))
-        self._segments = []  # (x_lo, x_hi, cumulative n at x_hi)
-        self._g0 = self.G(self.x0)
+            # flatten the dimension recursion into per-dimension constants
+            self.chain = []  # for j = 2..d: (log phi_j, log ceil(6/eps_j))
+            eps_j = trace.epsilon
+            for j in range(trace.d, 1, -1):
+                self.chain.append((j, mp.mpf(phi_log(j, m, eps_j)),
+                                   mp.log(_snap_ceil(6.0 / eps_j))))
+                eps_j = theta(j, m, eps_j)
+            self.chain.reverse()  # ascending j
+            self.log_n1 = mp.log(max(2, _snap_ceil(6.0 / eps_j)))
+            self.log_m1 = mp.log(_bigm_cached(2, 1, m, eps_j))
+            self._segments = []  # (x_lo, x_hi, cumulative n at x_hi)
+            self._g0 = self.G(self.x0)
+            # the slope of num-iter's left-hand side i*log(1+phi) + c_const
+            self.lp = mp.log1p(mp.exp(mp.mpf(trace.phi_log)))
+
+    @cached_property
+    def c_const(self):
+        """log(omega^{-1}(c)/c), num-iter's level-independent lhs term, taken
+        on first use: a model that only counts levels may sit where
+        omega^{-1}(c) is undefined.  A float, so exact at any precision."""
+        log_c1 = math.log(self.c)
+        return mp.mpf(self.m.inverse_log(log_c1) - log_c1)
 
     # -- modulus in mp arithmetic ----------------------------------------
 
@@ -453,6 +468,11 @@ class _FarRegime:
         x_next: log(omega(c)/c) = alpha*log(x) + log Lam."""
         return self.weval_log(-x_next) + x_next
 
+    def sides(self, i, x_hint=None):
+        """(lhs, rhs, x_next) of num-iter with r := i, at integer level i."""
+        x_next = self.x_of_level(i + 1, x_hint)
+        return mp.mpf(i) * self.lp + self.c_const, self.rhs_log(x_next), x_next
+
 
 def _dps_for(ph_log: float) -> int:
     return max(40, 18 + int(math.ceil(-ph_log / math.log(10.0))))
@@ -466,14 +486,8 @@ class RCertificate:
     margin: float  # lhs - rhs at the certifying check, full precision sign
     mode: str      # "exact" or "extrapolated"
     trace: ParamTrace
-
-
-def _far_F(model: _FarRegime, lp, c_const, i, x_hint=None):
-    """F(i) = lhs - rhs of num-iter at integer level i (model arithmetic)."""
-    x_next = model.x_of_level(i + 1, x_hint)
-    lhs = mp.mpf(i) * lp + c_const
-    rhs = model.rhs_log(x_next)
-    return lhs, rhs, x_next
+    # the continuum model past the scanned levels; None when r was scanned
+    model: _FarRegime | None = field(default=None, repr=False)
 
 
 def certify_r(d: int, m: Modulus, eps: float, c: float, max_levels: int = 48,
@@ -482,31 +496,29 @@ def certify_r(d: int, m: Modulus, eps: float, c: float, max_levels: int = 48,
 
     The exact trace is scanned first; past ``max_levels`` (and only for
     moduli of the log-linear family) r is certified against the continuum
-    model.  ``extrapolate=False`` restores the scan-only behaviour, raising
-    when the cap is hit.
+    model, which the certificate carries.  ``extrapolate=False`` restores
+    the scan-only behaviour, raising when the cap is hit.
     """
     trace = param_sequence(d, m, eps, c, max_levels)
-    ph = trace.phi
-    log_c1 = math.log(c)
     if trace.terminated:
         i = trace.r_check
-        lhs, rhs = _sides_exact(m, log_c1, ph, i, trace.log_c_at(i + 1))
+        lhs, rhs = _sides_exact(m, math.log(c), trace.phi, i, trace.log_c_at(i + 1))
+        # r = 1 passes the r := 0 check; with max_levels = 0 level 1 is
+        # unscanned and only the model reaches it
+        model = _FarRegime(trace, m) if trace.r > len(trace.levels) else None
         return RCertificate(r=trace.r, lhs_log=lhs, rhs_log=rhs,
-                            margin=lhs - rhs, mode="exact", trace=trace)
+                            margin=lhs - rhs, mode="exact", trace=trace,
+                            model=model)
     if not extrapolate:
         raise UnterminatedError(
             f"num-iter inequality not satisfied within {max_levels} levels",
             trace=trace)
 
-    with mp.workdps(_dps_for(trace.phi_log)):
-        i0 = len(trace.levels) + 1
-        model = _FarRegime(d, m, eps, -trace.log_c_at(i0), i0)
-        lp = mp.log1p(mp.exp(mp.mpf(trace.phi_log)))
-        c_const = mp.mpf(m.inverse_log(log_c1) - log_c1)
-
+    model = _FarRegime(trace, m)
+    with mp.workdps(model.dps):
         def H(x):
             i_real = model.i0 + model.n_of_x(x)
-            return i_real * lp + c_const - model.rhs_log(x + model.G(x))
+            return i_real * model.lp + model.c_const - model.rhs_log(x + model.G(x))
 
         # bracket the real crossing on the doubling table, then bisect on x
         lo = model.x0
@@ -533,18 +545,16 @@ def certify_r(d: int, m: Modulus, eps: float, c: float, max_levels: int = 48,
 
         # pin the smallest integer level with F >= 0 around the real crossing
         base = max(model.i0, int(mp.floor(i_star)) - 1)
-        r, lhs, rhs = None, None, None
         x_hint = x_star
-        for i in range(base, base + 4):
-            lhs_i, rhs_i, x_hint = _far_F(model, lp, c_const, i, x_hint)
-            if lhs_i >= rhs_i:
-                r, lhs, rhs = i, lhs_i, rhs_i
+        for r in range(base, base + 4):
+            lhs, rhs, x_hint = model.sides(r, x_hint)
+            if lhs >= rhs:
                 break
-        if r is None:
+        else:
             raise UnterminatedError("continuum crossing inconsistent", trace=trace)
         return RCertificate(r=r, lhs_log=float(lhs), rhs_log=float(rhs),
                             margin=float(lhs - rhs), mode="extrapolated",
-                            trace=trace)
+                            trace=trace, model=model)
 
 
 def compute_r(d: int, m: Modulus, eps: float, c: float, max_levels: int = 48,
@@ -557,35 +567,13 @@ def num_iter_margin(d: int, m: Modulus, eps: float, c: float, i: int,
     """lhs - rhs of the num-iter inequality with r := i, at full precision
     (the sign is meaningful even when the sides agree to 30+ digits)."""
     trace = param_sequence(d, m, eps, c, max_levels)
-    ph = trace.phi
-    log_c1 = math.log(c)
     if i + 1 <= len(trace.levels) + 1:
-        lhs, rhs = _sides_exact(m, log_c1, ph, i, trace.log_c_at(i + 1))
+        lhs, rhs = _sides_exact(m, math.log(c), trace.phi, i, trace.log_c_at(i + 1))
         return lhs - rhs
-    with mp.workdps(_dps_for(trace.phi_log)):
-        i0 = len(trace.levels) + 1
-        model = _FarRegime(d, m, eps, -trace.log_c_at(i0), i0)
-        lp = mp.log1p(mp.exp(mp.mpf(trace.phi_log)))
-        c_const = mp.mpf(m.inverse_log(log_c1) - log_c1)
-        lhs, rhs, _ = _far_F(model, lp, c_const, i)
+    model = _FarRegime(trace, m)
+    with mp.workdps(model.dps):
+        lhs, rhs, _ = model.sides(i)
         return float(lhs - rhs)
-
-
-def num_iter_sides(d: int, m: Modulus, eps: float, c: float, i: int,
-                   max_levels: int = 48) -> tuple[float, float]:
-    """(lhs, rhs) of the num-iter inequality in log space with r := i."""
-    trace = param_sequence(d, m, eps, c, max_levels)
-    ph = trace.phi
-    log_c1 = math.log(c)
-    if i + 1 <= len(trace.levels) + 1:
-        return _sides_exact(m, log_c1, ph, i, trace.log_c_at(i + 1))
-    with mp.workdps(_dps_for(trace.phi_log)):
-        i0 = len(trace.levels) + 1
-        model = _FarRegime(d, m, eps, -trace.log_c_at(i0), i0)
-        lp = mp.log1p(mp.exp(mp.mpf(trace.phi_log)))
-        c_const = mp.mpf(m.inverse_log(log_c1) - log_c1)
-        lhs, rhs, _ = _far_F(model, lp, c_const, i)
-        return float(lhs), float(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -661,18 +649,25 @@ def kappa(d: int, m: Modulus, L: float, k: int, eps: float, c: float,
     pi_const.  All cubes at one level share a sidelength, so the sup
     collapses to a sup over levels.
     """
-    m_bar = rescaled_modulus(m, L, k)
-    cert = certify_r(d, m_bar, eps, c, max_levels)
+    cert = certify_r(d, rescaled_modulus(m, L, k), eps, c, max_levels)
+    return kappa_from_certificate(cert, m, pi_const)
+
+
+def kappa_from_certificate(cert: RCertificate, m: Modulus,
+                           pi_const: float = 1.0) -> float:
+    """kappa over the levels of a certificate for the (rescaled) level
+    sequence, with upsilon taken at the plain modulus m.  Level r past the
+    exact scan is read from the certificate's own continuum model."""
     trace = cert.trace
+    d, eps = trace.d, trace.epsilon
     best = -math.inf
     for rec in trace.levels:
         if rec.i > cert.r:
             break
         best = max(best, upsilon_log(d, m, eps, rec.log_sidelength, pi_const))
-    if cert.r > len(trace.levels):
-        with mp.workdps(_dps_for(trace.phi_log)):
-            i0 = len(trace.levels) + 1
-            model = _FarRegime(d, m_bar, eps, -trace.log_c_at(i0), i0)
+    if cert.model is not None:
+        model = cert.model
+        with mp.workdps(model.dps):
             x_r = model.x_of_level(cert.r)
             log_ell_r = float(-x_r - model.log_n_of_x(x_r))
         best = max(best, upsilon_log(d, m, eps, log_ell_r, pi_const))

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from netlab import params as P
 from netlab.cli import main
+from netlab.moduli import logpow
 from netlab.netgen import PointCloud
 
 
@@ -144,3 +147,64 @@ class TestSpecExamples:
         doc = json.loads(out)
         assert doc["result"]["branch"] == 1
         assert doc["result"]["statement1"]["omega_size"] == 59
+
+    def test_volume_check_radial_bump_emits_json(self, capsys):
+        # the report carries numpy booleans, which must serialise
+        code, out, _ = run(capsys, "volume-check", "--map",
+                           "radial-bump:1.5,0.5,0.1,2.0", "--modulus",
+                           "identity", "--c", "1", "--n", "4", "--slab", "1",
+                           "--eps", "0.5", "--d", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["result"]["passed"] is True
+
+    def test_chessboard_output_feeds_net_build(self, capsys, tmp_path):
+        prefix = str(tmp_path / "cb")
+        code, _, _ = run(capsys, "chessboard", "--d", "2", "--schedule", "6x2",
+                         "--c", "1", "--levels", "1", "--out", prefix)
+        assert code == 0
+        code, out, _ = run(capsys, "net-build", "--rho",
+                           f"chessboard:{prefix}.json", "--corner", "0,0",
+                           "--side", "10", "--m", "2")
+        assert code == 0
+        assert json.loads(out)["result"]["points"] > 0
+
+    def test_chessboard_spec_rejects_other_json(self, capsys, tmp_path):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"base": "1"}))
+        code, _, err = run(capsys, "net-build", "--rho", f"chessboard:{path}",
+                           "--corner", "0,0", "--side", "1", "--m", "2")
+        assert code == 2
+        assert "not a chessboard output" in err
+
+
+class TestParamsCertificate:
+    def test_one_trace_one_model_and_kappa_from_the_certified_model(
+            self, capsys, monkeypatch):
+        # far regime in d=1: the command certifies r once and reads kappa's
+        # level-r sidelength from the model the certificate carries
+        calls = {"param_sequence": 0, "_FarRegime": 0}
+
+        def counting(name):
+            original = getattr(P, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(P, name, counting(name))
+        code, out, _ = run(capsys, "params", "--d", "1", "--modulus",
+                           "logpow:0.01", "--eps", "0.1", "--c", "0.1",
+                           "--max-levels", "8")
+        monkeypatch.undo()
+        assert code == 0
+        assert calls == {"param_sequence": 1, "_FarRegime": 1}
+        res = json.loads(out)["result"]
+        assert res["r"] == 15012 and res["r_mode"] == "extrapolated"
+
+        m = logpow(0.01)
+        cert = P.certify_r(1, m, 0.1, 0.1, max_levels=8)
+        fresh = dataclasses.replace(cert, model=P._FarRegime(cert.trace, m))
+        assert res["kappa"] == P.kappa_from_certificate(fresh, m)

@@ -215,6 +215,12 @@ class TestComputeR:
             assert r <= math.ceil(1.5 * math.exp(log_C) / (c * e ** p) / c * c)
 
 
+def _unscanned_trace(d, m, eps, c):
+    """A trace with no scanned levels: the far model anchors at level 1, c."""
+    ph_log = P.phi_log(d, m, eps)
+    return P.ParamTrace(d=d, epsilon=eps, c=c, phi=math.exp(ph_log), phi_log=ph_log)
+
+
 class TestFarModel:
     def test_synthetic_step_iteration_matches_model_count(self):
         # iterate the model's own recursion x_{k+1} = x_k + G(x_k) and check
@@ -222,7 +228,7 @@ class TestFarModel:
         m = logpow(0.3)
         eps, c = 0.35, 0.1
         with mp.workdps(50):
-            model = P._FarRegime(2, m, eps, -math.log(c), 1)
+            model = P._FarRegime(_unscanned_trace(2, m, eps, c), m)
             x = model.x0
             steps = 1500
             for _ in range(steps):
@@ -233,7 +239,7 @@ class TestFarModel:
     def test_x_of_level_inverts_n_of_x(self):
         m = logpow(0.2)
         with mp.workdps(50):
-            model = P._FarRegime(2, m, 0.3, -math.log(0.2), 1)
+            model = P._FarRegime(_unscanned_trace(2, m, 0.3, 0.2), m)
             for i in (5, 50, 2000, 10 ** 9):
                 x = model.x_of_level(i)
                 assert abs(model.n_of_x(x) - (i - 1)) < 1e-6
@@ -275,6 +281,19 @@ class TestUpsilonKappa:
             assert P.kappa(2, identity(), 1.0, 1, eps, 0.2) == pytest.approx(eps, rel=1e-12)
             assert P.kappa(2, identity(), 1.0, 1, eps, 0.2, pi_const=3.0) == pytest.approx(
                 3.0 * eps, rel=1e-12)
+
+    def test_kappa_builds_one_far_model(self, monkeypatch):
+        # kappa reads level r from the model certify_r was certified against
+        built = []
+        original = P._FarRegime
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(P, "_FarRegime", counting)
+        P.kappa(1, logpow(0.01), 1.0, 1, 0.1, 0.1, max_levels=8)
+        assert len(built) == 1
 
     def test_kappa_scaling_enters_through_rescaled_modulus(self):
         m = logpow(0.4)

@@ -137,11 +137,11 @@ def _parse_map(spec: str):
         b = np.array(vals[d * d:]) if len(vals) > d * d else None
         return G.AffineMap(A, b)
     vals = [float(v) for v in rest.split(",")] if rest else []
-    if kind == "shear":
+    if kind == "shear" and len(vals) == 1:
         return G.shear_map(vals[0])
-    if kind == "radial-bump":
+    if kind == "radial-bump" and len(vals) >= 3:
         return G.RadialBump(vals[:-2], vals[-2], vals[-1])
-    if kind == "stretch":
+    if kind == "stretch" and len(vals) in (4, 5):
         d = int(vals[4]) if len(vals) > 4 else 1
         return G.two_region_stretch(vals[0], vals[1], vals[2], vals[3], d=d)
     raise ConfigurationError(f"cannot parse map spec {spec!r}")

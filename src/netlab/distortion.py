@@ -108,9 +108,8 @@ def bilip(b: Bijection) -> DistortionReport:
     )
 
 
-def displacement(b: Bijection, center=None) -> float:
-    """sup over points of |f(x) - x| (center kept for windowed profiles;
-    the sup over a ball centred there equals the global sup on finite sets)."""
+def displacement(b: Bijection) -> float:
+    """sup over points of |f(x) - x|."""
     return float(np.linalg.norm(b.target[b.perm] - b.source, axis=1).max())
 
 

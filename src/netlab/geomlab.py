@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
+from scipy.ndimage import binary_dilation, distance_transform_edt
 from scipy.spatial import cKDTree
 
 from .errors import ConfigurationError, DomainError, ReliabilityError
@@ -447,6 +447,8 @@ def image_volume(h, box, mode: str = "auto", budget: int = 200_000,
     monte_carlo: preimage membership test on bounding-box samples with a
     95 percent binomial interval.
     """
+    if mode not in ("auto", "grid", "monte_carlo"):
+        raise ConfigurationError(f"unknown mode {mode!r}")
     exact = h.volume_factor() if hasattr(h, "volume_factor") else None
     if mode == "auto":
         if exact is not None:
@@ -473,25 +475,16 @@ def image_volume(h, box, mode: str = "auto", budget: int = 200_000,
         # cells never finer than the image sampling step, else cover gaps
         cell = max(max(hi - lo for lo, hi in bbox) / res, max_step)
         dil = int(math.ceil(max_step / cell)) + 1
-
-        def cells_of(points):
-            return {tuple(int(v) for v in row)
-                    for row in np.floor((points - [lo for lo, _ in bbox]) / cell).astype(int)}
-
-        cover = cells_of(img)
-        bpts = _boundary_points(box, 4 * G)
-        band = cells_of(h(bpts))
-        band_dil = _dilate(band, dil, d)
-        cover_dil = _dilate(cover, dil, d)
-        interior = cover - band_dil
+        (cover, band), _ = _rasters([img, h(_boundary_points(box, 4 * G))],
+                                    [lo for lo, _ in bbox], cell, pad=dil)
+        # a cube of side 2*dil+1 on a frame padded by dil: the Minkowski sum
+        grow = np.ones((2 * dil + 1,) * d, dtype=bool)
         vol_cell = cell ** d
-        lower = len(interior) * vol_cell
-        upper = len(cover_dil) * vol_cell
-        value = len(cover) * vol_cell
+        lower = int((cover & ~binary_dilation(band, grow)).sum()) * vol_cell
+        upper = int(binary_dilation(cover, grow).sum()) * vol_cell
+        value = int(cover.sum()) * vol_cell
         return VolumeEstimate(value=value, lower=lower, upper=upper, mode="grid")
 
-    if mode != "monte_carlo":
-        raise ConfigurationError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
     samples = rng.uniform([lo for lo, _ in bbox], [hi for _, hi in bbox],
                           size=(budget, d))
@@ -532,16 +525,23 @@ def _boundary_points(box, per_axis):
     return np.concatenate(pts, axis=0)
 
 
-def _dilate(cells, k, d):
-    if k <= 0:
-        return set(cells)
-    offsets = np.stack(np.meshgrid(*([np.arange(-k, k + 1)] * d),
-                                   indexing="ij"), axis=-1).reshape(-1, d)
-    out = set()
-    for c in cells:
-        for off in offsets:
-            out.add(tuple(int(v) for v in (np.array(c) + off)))
-    return out
+def _rasters(point_sets, origin, cell, pad=0):
+    """Boolean rasters of point sets on one shared frame.
+
+    A point x lies in lattice cell floor((x - origin) / cell).  The frame
+    spans the cells of every set plus ``pad`` empty cells on each side;
+    returns the rasters and the frame's first cell index, so lattice cell k
+    is entry k - first.
+    """
+    idx = [np.floor((pts - origin) / cell).astype(int) for pts in point_sets]
+    first = np.min([i.min(axis=0) for i in idx], axis=0) - pad
+    last = np.max([i.max(axis=0) for i in idx], axis=0) + pad
+    rasters = []
+    for i in idx:
+        raster = np.zeros(last - first + 1, dtype=bool)
+        raster[tuple((i - first).T)] = True
+        rasters.append(raster)
+    return rasters, first
 
 
 # ---------------------------------------------------------------------------
@@ -629,12 +629,8 @@ def symdiff_bound_check(f, g, grid_res: int = 64,
     hi = all_img.max(axis=0) + 1e-9
     cell = float((hi - lo).max()) / grid_res
 
-    def cells_of(points):
-        return {tuple(map(int, row)) for row in np.floor((points - lo) / cell).astype(int)}
-
-    Rf, Rg = cells_of(fi), cells_of(gi)
-    bpts = _boundary_points(domain, 8 * grid_res)
-    Rb = cells_of(f(bpts))
+    (Rf, Rg, Rb), first = _rasters(
+        [fi, gi, f(_boundary_points(domain, 8 * grid_res))], lo, cell)
 
     # sampling slack: the raster of a region from point samples is reliable
     # up to the largest image step between neighbouring samples
@@ -644,12 +640,12 @@ def symdiff_bound_check(f, g, grid_res: int = 64,
     slack = float(max(step_x, step_y)) + 2 * cell * math.sqrt(2)
     threshold = sup_dist + slack
 
-    sym = (Rf - Rg) | (Rg - Rf)
+    sym = np.argwhere(Rf ^ Rg) + first  # lexicographic cell order
     violations = 0
     max_excess = 0.0
-    if sym:
-        centers = (np.array(sorted(sym)) + 0.5) * cell + lo
-        bcenters = (np.array(sorted(Rb)) + 0.5) * cell + lo
+    if len(sym):
+        centers = (sym + 0.5) * cell + lo
+        bcenters = (np.argwhere(Rb) + first + 0.5) * cell + lo
         tree = cKDTree(bcenters)
         dist, _ = tree.query(centers)
         excess = dist - threshold
@@ -676,6 +672,8 @@ def boundary_neighborhood_measure(f, eps_list, grid_res: int = 256,
     cells whose centre distance sits within one cell diagonal of the eps
     threshold.
     """
+    if not all(eps >= 0 for eps in eps_list):
+        raise DomainError(f"eps must be non-negative, got {list(eps_list)}")
     if domain is None:
         domain = [(0.0, 1.0), (0.0, 1.0)]
     if len(domain) != 2:
@@ -688,12 +686,11 @@ def boundary_neighborhood_measure(f, eps_list, grid_res: int = 256,
     lo = img.min(axis=0) - pad
     hi = img.max(axis=0) + pad
     cell = float((hi - lo).max()) / grid_res
-    shape = tuple(int(math.ceil((hi[k] - lo[k]) / cell)) + 1 for k in range(2))
-    mask = np.ones(shape, dtype=bool)
-    idx = np.floor((img - lo) / cell).astype(int)
-    mask[idx[:, 0], idx[:, 1]] = False  # boundary cells are the zero set
-    dist = distance_transform_edt(mask, sampling=cell)
     diag = cell * math.sqrt(2)
+    # the frame holds every cell within max(eps) + diag of the boundary
+    (boundary,), _ = _rasters([img], lo, cell,
+                              pad=math.ceil((max(eps_list) + diag) / cell))
+    dist = distance_transform_edt(~boundary, sampling=cell)
     rows = []
     for eps in eps_list:
         measure = float((dist <= eps).sum()) * cell * cell

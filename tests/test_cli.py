@@ -49,6 +49,24 @@ class TestExitCodes:
                            "identity:2")
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["radial-bump:1", "radial-bump:0.5,0.1",
+                                      "shear:", "shear:0.1,0.2", "stretch:1,2",
+                                      "stretch:0.5,0.15,0.07,1.15,1,9"])
+    def test_map_spec_with_wrong_value_count_exits_two(self, capsys, spec):
+        code, _, err = run(capsys, "symdiff", "--f", spec, "--g", "identity:2")
+        assert code == 2
+        assert "cannot parse map spec" in err
+
+    def test_negative_eps_exits_two(self, capsys):
+        code, _, err = run(capsys, "boundary-measure", "--map", "identity:2",
+                           "--eps-list", "-0.1", "--resolution", "64")
+        assert code == 2
+        assert "non-negative" in err
+        code, out, _ = run(capsys, "boundary-measure", "--map", "identity:2",
+                           "--eps-list", "0", "--resolution", "64")
+        assert code == 0
+        assert json.loads(out)["result"]["rows"][0]["eps"] == 0.0
+
 
 class TestOutputs:
     def test_params_emits_csv_and_json(self, capsys, tmp_path):
@@ -94,6 +112,24 @@ class TestOutputs:
         lines = out.splitlines()
         assert lines[0].startswith("# tool: netlab")
         assert any(l.startswith("eps,measure") for l in lines)
+
+
+class TestReadmeRasterCommands:
+    @pytest.mark.parametrize("argv", [
+        ["symdiff", "--f", "identity:2", "--g", "shear:0.05", "--resolution", "64"],
+        ["boundary-measure", "--map", "identity:2", "--eps-list", "0.1,0.05,0.02",
+         "--resolution", "256"],
+        ["b1-trace", "--map", "stretch:0.5,0.15,0.0667,1.15", "--modulus",
+         "identity", "--eps", "0.1", "--c", "0.5", "--d", "1"],
+        ["volume-check", "--mode", "grid", "--map", "radial-bump:1.5,0.5,0.1,2.0",
+         "--modulus", "identity", "--c", "1", "--n", "4", "--slab", "1",
+         "--eps", "0.5", "--d", "2"],
+    ], ids=["symdiff", "boundary-measure", "b1-trace", "volume-check-grid"])
+    def test_runs_clean_and_reruns_byte_identical(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)["meta"]["command"] == argv[0]
+        assert run(capsys, *argv) == (0, out, err)
 
 
 class TestConfigFile:

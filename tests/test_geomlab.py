@@ -1,12 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from netlab.errors import DomainError
+from netlab.errors import ConfigurationError, DomainError
 from netlab.moduli import identity
 from netlab.geomlab import (
     AffineMap,
+    SymdiffReport,
+    VolumeEstimate,
+    _boundary_points,
+    _grid_points,
     GridMap,
     RadialBump,
     boundary_neighborhood_measure,
@@ -190,19 +196,106 @@ class TestImageVolume:
         mc = image_volume(bump, box, mode="monte_carlo", budget=200_000)
         assert g.lower <= mc.value <= g.upper
 
+    class Fold:
+        def __call__(self, x):
+            return np.abs(np.atleast_2d(x) - 0.5)
+
+        def invert(self, y):
+            return np.atleast_2d(y) + 0.5
+
+        def volume_factor(self):
+            return None
+
     def test_non_injective_rejected(self):
-        class Fold:
-            def __call__(self, x):
-                return np.abs(np.atleast_2d(x) - 0.5)
-
-            def invert(self, y):
-                return np.atleast_2d(y) + 0.5
-
-            def volume_factor(self):
-                return None
-
         with pytest.raises(DomainError):
-            image_volume(Fold(), [(0, 1), (0, 1)], mode="monte_carlo", budget=1000)
+            image_volume(self.Fold(), [(0, 1), (0, 1)], mode="monte_carlo",
+                         budget=1000)
+
+    def test_unknown_mode_rejected_before_sampling(self):
+        # the mode is checked first, so the non-injective map is never probed
+        with pytest.raises(ConfigurationError, match="unknown mode"):
+            image_volume(self.Fold(), [(0, 1), (0, 1)], mode="raster")
+
+
+# ---------------------------------------------------------------------------
+# brute-force raster oracle: Python sets of cell tuples
+# ---------------------------------------------------------------------------
+
+def _cells_of(points, origin, cell):
+    return {tuple(int(v) for v in row)
+            for row in np.floor((points - origin) / cell).astype(int)}
+
+
+def _dilate(cells, k, d):
+    """Minkowski sum with the cube {-k..k}^d, cell by cell."""
+    offsets = list(itertools.product(range(-k, k + 1), repeat=d))
+    return {tuple(a + b for a, b in zip(c, off)) for c in cells for off in offsets}
+
+
+def _oracle_grid_volume(h, box, budget):
+    d = len(box)
+    G = max(4, int(round(budget ** (1.0 / d) / 2)))
+    img = h(_grid_points(box, G))
+    img_grid = img.reshape(*([G] * d), d)
+    max_step = max(float(np.linalg.norm(np.diff(img_grid, axis=ax), axis=-1).max())
+                   for ax in range(d))
+    bbox = [(float(img[:, k].min()) - 2 * max_step,
+             float(img[:, k].max()) + 2 * max_step) for k in range(d)]
+    res = max(8, int(round(budget ** (1.0 / d))))
+    cell = max(max(hi - lo for lo, hi in bbox) / res, max_step)
+    dil = int(math.ceil(max_step / cell)) + 1
+    origin = [lo for lo, _ in bbox]
+    cover = _cells_of(img, origin, cell)
+    band = _cells_of(h(_boundary_points(box, 4 * G)), origin, cell)
+    vol_cell = cell ** d
+    return VolumeEstimate(value=len(cover) * vol_cell,
+                          lower=len(cover - _dilate(band, dil, d)) * vol_cell,
+                          upper=len(_dilate(cover, dil, d)) * vol_cell, mode="grid")
+
+
+def _oracle_symdiff(f, g, grid_res):
+    domain = [(0.0, 1.0), (0.0, 1.0)]
+    dense = 4 * grid_res
+    pts = _grid_points(domain, dense)
+    fi, gi = f(pts), g(pts)
+    sup_dist = float(np.linalg.norm(fi - gi, axis=1).max())
+    all_img = np.vstack([fi, gi])
+    lo = all_img.min(axis=0) - 1e-9
+    hi = all_img.max(axis=0) + 1e-9
+    cell = float((hi - lo).max()) / grid_res
+    Rf, Rg = _cells_of(fi, lo, cell), _cells_of(gi, lo, cell)
+    Rb = _cells_of(f(_boundary_points(domain, 8 * grid_res)), lo, cell)
+    fi_grid = fi.reshape(dense, dense, 2)
+    step_x = np.linalg.norm(np.diff(fi_grid, axis=0), axis=-1).max()
+    step_y = np.linalg.norm(np.diff(fi_grid, axis=1), axis=-1).max()
+    threshold = sup_dist + float(max(step_x, step_y)) + 2 * cell * math.sqrt(2)
+    sym = Rf ^ Rg
+    dist, _ = cKDTree((np.array(sorted(Rb)) + 0.5) * cell + lo).query(
+        (np.array(sorted(sym)) + 0.5) * cell + lo)
+    excess = dist - threshold
+    return SymdiffReport(violations=int((excess > 0).sum()),
+                         max_excess=float(excess.max()), sup_distance=sup_dist,
+                         threshold=threshold, cells_checked=len(sym))
+
+
+class TestRasterOracle:
+    @pytest.mark.parametrize("h, box, budget", [
+        (identity_map(2), [(0.0, 1.0), (0.0, 1.0)], 20_000),
+        (RadialBump([1.5, 0.5], 0.1, 2.0), [(0.0, 0.25), (0.0, 0.25)], 20_000),
+        (two_region_stretch(1.0, 0.3, 0.2, 1.5), [(0.0, 1.0)], 20_000),
+        (RadialBump([0.5] * 3, 0.1, 1.0), [(0.0, 1.0)] * 3, 5_000),
+        # negative coordinates shift the raster frame off the origin
+        (RadialBump([0.5, 0.5], -0.3, 0.5), [(-3.0, -2.0), (5.0, 6.0)], 20_000),
+    ], ids=["identity-2d", "bump", "stretch-1d", "bump-3d", "offset-box"])
+    def test_grid_volume_matches_set_raster(self, h, box, budget):
+        assert image_volume(h, box, mode="grid", budget=budget) == \
+            _oracle_grid_volume(h, box, budget)
+
+    def test_symdiff_matches_set_raster(self):
+        f, g = identity_map(2), RadialBump([0.5, 0.5], 0.05, 1.0)
+        rep = symdiff_bound_check(f, g, grid_res=64)
+        assert rep.cells_checked > 0
+        assert rep == _oracle_symdiff(f, g, 64)
 
 
 class TestVolumeDiff:
@@ -272,6 +365,15 @@ class TestBoundaryMeasure:
         for row in rows:
             exact = 8 * row.eps + (math.pi - 4) * row.eps ** 2
             assert abs(row.measure - exact) <= row.raster_slack
+
+    def test_zero_eps_window_reaches_both_sides_of_the_ring(self):
+        # cell 1/64 exactly: the boundary is a ring of 65x65 cells, and the
+        # one-diagonal window is the 63x63 ring inside it plus the 67x67
+        # ring outside it, which the raster frame must hold
+        (row,) = boundary_neighborhood_measure(identity_map(2), [0.0],
+                                               grid_res=64)
+        assert row.measure == 4 * 64 / 64 ** 2
+        assert row.raster_slack == (4 * 62 + 4 * 66) / 64 ** 2
 
     def test_monotone_in_eps(self):
         rows = boundary_neighborhood_measure(identity_map(2),

@@ -321,6 +321,9 @@ def _cmd_distort(a):
     Y = _load_points(a["y"]).points
     if a["variant"] == "exact":
         rep = DT.min_bilip_exact(X, Y, node_limit=int(a.get("node_limit", 5_000_000)))
+        if rep.method != "exact":
+            print("netlab: warning: node limit reached; bilip is a heuristic "
+                  "upper bound", file=sys.stderr)
     else:
         rep = DT.min_bilip_heuristic(X, Y, seed=int(a.get("seed") or 0),
                                      restarts=int(a.get("restarts", 8)))
@@ -349,7 +352,7 @@ def _cmd_feige_ls(a):
 
 def _cmd_feige_cn(a):
     window = _parse_window(a["window"], int(a["d"]))
-    samples = int(a["samples"]) if a.get("samples") else None
+    samples = int(a["samples"]) if a.get("samples") is not None else None
     val, best, exact = DT.feige_cn_window(
         int(a["n"]), int(a["d"]), window,
         budget=int(a.get("budget", 2_000_000)), samples=samples,

@@ -7,6 +7,7 @@ regular grid, and its sup over lattice subsets).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,11 +31,33 @@ def _pairwise(points) -> np.ndarray:
     return cdist(points, points)
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(n):
+    """Index arrays (rows, columns) of the pairs i < j among n points; the
+    local search asks for them once per move, so they are built once per n."""
+    return np.triu_indices(n, k=1)
+
+
 def _check_distinct(D, what):
-    n = len(D)
-    iu = np.triu_indices(n, k=1)
-    if np.any(D[iu] == 0.0):
+    # a pairwise-distance matrix is symmetric with its self-distances on the
+    # diagonal, so any zero beyond the diagonal's own is a repeated point
+    if np.count_nonzero(D == 0.0) > np.count_nonzero(np.diagonal(D) == 0.0):
         raise InjectivityError(f"duplicate {what} points")
+
+
+def _distances(X, Y):
+    """The input check shared by the searches: equal cardinality, at least
+    two points, distinct source and distinct target points.  Returns the
+    point arrays and their pairwise distance matrices."""
+    X, Y = _as_points(X), _as_points(Y)
+    if len(Y) != len(X):
+        raise DomainError("cardinalities differ")
+    if len(X) < 2:
+        raise DomainError("need at least 2 points")
+    DX, DY = _pairwise(X), _pairwise(Y)
+    _check_distinct(DX, "source")
+    _check_distinct(DY, "target")
+    return X, Y, DX, DY
 
 
 @dataclass
@@ -85,7 +108,7 @@ def lip(b: Bijection) -> tuple[float, tuple]:
     DX = _pairwise(b.source)
     _check_distinct(DX, "source")
     DY = _pairwise(b.target[b.perm])
-    iu = np.triu_indices(len(b), k=1)
+    iu = _pairs(len(b))
     ratios = DY[iu] / DX[iu]
     k = int(np.argmax(ratios))
     return float(ratios[k]), (int(iu[0][k]), int(iu[1][k]))
@@ -97,7 +120,7 @@ def bilip(b: Bijection) -> DistortionReport:
     DY = _pairwise(b.target[b.perm])
     _check_distinct(DY, "target")
     DX = _pairwise(b.source)
-    iu = np.triu_indices(len(b), k=1)
+    iu = _pairs(len(b))
     inv_ratios = DX[iu] / DY[iu]
     k = int(np.argmax(inv_ratios))
     inv = float(inv_ratios[k])
@@ -113,191 +136,40 @@ def displacement(b: Bijection) -> float:
     return float(np.linalg.norm(b.target[b.perm] - b.source, axis=1).max())
 
 
-def _bilip_of_perm(DX, DY, perm):
-    iu = np.triu_indices(len(perm), k=1)
+def _objective(DX, DY, perm, symmetric):
+    """Largest pair ratio |f(x)-f(y)| / |x-y| of the pairing ``perm``, and
+    with ``symmetric`` also the inverse ratios (the bilipschitz constant)."""
+    iu = _pairs(len(perm))
     dyp = DY[np.ix_(perm, perm)][iu]
     dx = DX[iu]
-    return float(max((dyp / dx).max(), (dx / dyp).max()))
+    if symmetric:
+        return float(max((dyp / dx).max(), (dx / dyp).max()))
+    return float((dyp / dx).max())
 
 
-def _trivial_lower_bound(X, Y):
-    DX, DY = _pairwise(X), _pairwise(Y)
-    iu = np.triu_indices(len(X), k=1)
+def _trivial_lower_bound(DX, DY):
+    iu = _pairs(len(DX))
     diam_x, diam_y = DX[iu].max(), DY[iu].max()
     sep_x, sep_y = DX[iu].min(), DY[iu].min()
     return max(diam_y / diam_x, diam_x / diam_y, sep_y / sep_x, sep_x / sep_y)
 
 
 # ---------------------------------------------------------------------------
-# exact search
+# search engines, shared by the bilipschitz (symmetric) and the Lipschitz
+# objective
 # ---------------------------------------------------------------------------
 
-def min_bilip_exact(X, Y, node_limit: int = 5_000_000,
-                    exact_threshold: int = 10) -> DistortionReport:
-    """Global minimum of the bilipschitz constant over all pairings, by
-    branch and bound on partial assignments.
+def _branch_and_bound(DX, DY, symmetric, best, best_perm, node_limit):
+    """Minimum of the objective over all pairings, by branch and bound on
+    partial assignments, starting from the incumbent ``(best, best_perm)``.
 
     A branch dies as soon as its partial pair maximum reaches the incumbent,
     which cannot cut the optimum (the objective only grows along a branch);
     candidate targets are scanned in index order, so results and tie-breaks
-    are deterministic.  If the node budget runs out the incumbent is
-    returned as an upper bound with ``method="heuristic"``.
+    are deterministic.  Returns ``(best, best_perm, nodes, exhausted)``;
+    ``exhausted`` is False when the node budget ran out first.
     """
-    X, Y = _as_points(X), _as_points(Y)
-    n = len(X)
-    if len(Y) != n:
-        raise DomainError("cardinalities differ")
-    if n < 2:
-        raise DomainError("need at least 2 points")
-    if n > exact_threshold:
-        raise BudgetError(f"{n} points above the exact threshold {exact_threshold}")
-    DX, DY = _pairwise(X), _pairwise(Y)
-    _check_distinct(DX, "source")
-    _check_distinct(DY, "target")
-
-    # a heuristic incumbent seeds the pruning; exactness is unaffected
-    seed_rep = min_bilip_heuristic(X, Y, seed=0, restarts=1)
-    best = seed_rep.bilip
-    best_perm = np.array(seed_rep.perm)
-    nodes = 0
-    exhausted = True
-
-    perm = np.full(n, -1, dtype=int)
-    used = np.zeros(n, dtype=bool)
-
-    def rec(i, cur):
-        nonlocal best, best_perm, nodes, exhausted
-        if not exhausted:
-            return
-        if i == n:
-            if cur < best:
-                best = cur
-                best_perm = perm.copy()
-            return
-        for t in range(n):
-            if used[t]:
-                continue
-            nodes += 1
-            if nodes > node_limit:
-                exhausted = False
-                return
-            new = cur
-            ok = True
-            for j in range(i):
-                dx = DX[i, j]
-                dy = DY[t, perm[j]]
-                ratio = dy / dx if dy > dx else dx / dy
-                if ratio > new:
-                    new = ratio
-                if new >= best:
-                    ok = False
-                    break
-            if ok:
-                perm[i] = t
-                used[t] = True
-                rec(i + 1, new)
-                used[t] = False
-                perm[i] = -1
-
-    rec(0, 0.0)
-    b = Bijection(X, Y, best_perm)
-    rep = bilip(b)
-    rep.nodes = nodes
-    rep.lower_bound = _trivial_lower_bound(X, Y)
-    rep.upper_bound = rep.bilip
-    if not exhausted:
-        rep.method = "heuristic"
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# heuristic search
-# ---------------------------------------------------------------------------
-
-def min_bilip_heuristic(X, Y, seed: int = 0, restarts: int = 8,
-                        three_cycle_max: int = 40) -> DistortionReport:
-    """Minimum-cost assignment on squared distances, improved by 2-swap and
-    3-cycle moves on the bilipschitz objective until local optimality.
-
-    Reports the best value found (an upper bound) together with the trivial
-    lower bound from diameter and separation ratios in both directions.
-    3-cycle moves are scanned only up to ``three_cycle_max`` points (the
-    neighbourhood grows cubically); local optimality refers to the scanned
-    neighbourhood.
-    """
-    X, Y = _as_points(X), _as_points(Y)
-    n = len(X)
-    if len(Y) != n:
-        raise DomainError("cardinalities differ")
-    DX, DY = _pairwise(X), _pairwise(Y)
-    _check_distinct(DX, "source")
-    _check_distinct(DY, "target")
-    rng = np.random.default_rng(seed)
-
-    starts = []
-    cost = cdist(X, Y) ** 2
-    _, assign = linear_sum_assignment(cost)
-    starts.append(np.asarray(assign))
-    for _ in range(max(0, restarts - 1)):
-        starts.append(rng.permutation(n))
-
-    best_perm, best_val = None, math.inf
-    for perm in starts:
-        perm = perm.copy()
-        val = _bilip_of_perm(DX, DY, perm)
-        improved = True
-        while improved:
-            improved = False
-            for i in range(n):
-                for j in range(i + 1, n):
-                    perm[i], perm[j] = perm[j], perm[i]
-                    cand = _bilip_of_perm(DX, DY, perm)
-                    if cand < val:
-                        val = cand
-                        improved = True
-                    else:
-                        perm[i], perm[j] = perm[j], perm[i]
-            if n <= three_cycle_max:
-                for i, j, k in itertools.combinations(range(n), 3):
-                    for rot in ((j, k, i), (k, i, j)):
-                        saved = (perm[i], perm[j], perm[k])
-                        perm[i], perm[j], perm[k] = (perm[rot[0]], perm[rot[1]],
-                                                     perm[rot[2]])
-                        # rotation indices refer to pre-move values
-                        cand = _bilip_of_perm(DX, DY, perm)
-                        if cand < val:
-                            val = cand
-                            improved = True
-                        else:
-                            perm[i], perm[j], perm[k] = saved
-        if val < best_val:
-            best_val, best_perm = val, perm.copy()
-
-    rep = bilip(Bijection(X, Y, best_perm))
-    rep.method = "heuristic"
-    rep.upper_bound = rep.bilip
-    rep.lower_bound = _trivial_lower_bound(X, Y)
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# grid extremal quantities
-# ---------------------------------------------------------------------------
-
-def regular_grid(n: int, d: int) -> np.ndarray:
-    """{1, ..., n}^d in lexicographic order."""
-    return np.array(list(itertools.product(range(1, n + 1), repeat=d)), dtype=float)
-
-
-def min_lip_exact(X, Y, node_limit: int = 20_000_000) -> tuple[float, np.ndarray, bool]:
-    """Smallest Lip(f) over bijections X -> Y by branch and bound (forward
-    ratios only; contractions are allowed, so values below 1 are normal)."""
-    X, Y = _as_points(X), _as_points(Y)
-    n = len(X)
-    DX, DY = _pairwise(X), _pairwise(Y)
-    _check_distinct(DX, "source")
-    best = math.inf
-    best_perm = None
+    n = len(DX)
     nodes = 0
     exhausted = True
     perm = np.full(n, -1, dtype=int)
@@ -321,7 +193,9 @@ def min_lip_exact(X, Y, node_limit: int = 20_000_000) -> tuple[float, np.ndarray
             new = cur
             ok = True
             for j in range(i):
-                ratio = DY[t, perm[j]] / DX[i, j]
+                dx = DX[i, j]
+                dy = DY[t, perm[j]]
+                ratio = dx / dy if symmetric and dy <= dx else dy / dx
                 if ratio > new:
                     new = ratio
                 if new >= best:
@@ -335,6 +209,127 @@ def min_lip_exact(X, Y, node_limit: int = 20_000_000) -> tuple[float, np.ndarray
                 perm[i] = -1
 
     rec(0, 0.0)
+    return best, best_perm, nodes, exhausted
+
+
+def _local_search(DX, DY, symmetric, perm, three_cycles):
+    """Descent from ``perm`` by 2-swap moves, followed in each sweep by
+    3-cycle moves when ``three_cycles`` is set, until no move lowers the
+    objective.  Returns ``(value, perm)``."""
+    n = len(perm)
+    perm = perm.copy()
+    val = _objective(DX, DY, perm, symmetric)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                perm[i], perm[j] = perm[j], perm[i]
+                cand = _objective(DX, DY, perm, symmetric)
+                if cand < val:
+                    val = cand
+                    improved = True
+                else:
+                    perm[i], perm[j] = perm[j], perm[i]
+        if three_cycles:
+            for i, j, k in itertools.combinations(range(n), 3):
+                for rot in ((j, k, i), (k, i, j)):
+                    saved = (perm[i], perm[j], perm[k])
+                    perm[i], perm[j], perm[k] = (perm[rot[0]], perm[rot[1]],
+                                                 perm[rot[2]])
+                    # rotation indices refer to pre-move values
+                    cand = _objective(DX, DY, perm, symmetric)
+                    if cand < val:
+                        val = cand
+                        improved = True
+                    else:
+                        perm[i], perm[j], perm[k] = saved
+    return val, perm
+
+
+# ---------------------------------------------------------------------------
+# exact search
+# ---------------------------------------------------------------------------
+
+def min_bilip_exact(X, Y, node_limit: int = 5_000_000,
+                    exact_threshold: int = 10) -> DistortionReport:
+    """Global minimum of the bilipschitz constant over all pairings, by
+    branch and bound on partial assignments seeded with the heuristic's
+    pairing.  If the node budget runs out the incumbent is returned as an
+    upper bound with ``method="heuristic"``.
+    """
+    X, Y, DX, DY = _distances(X, Y)
+    n = len(X)
+    if n > exact_threshold:
+        raise BudgetError(f"{n} points above the exact threshold {exact_threshold}")
+
+    # a heuristic incumbent seeds the pruning; exactness is unaffected
+    seed_rep = min_bilip_heuristic(X, Y, seed=0, restarts=1)
+    _, best_perm, nodes, exhausted = _branch_and_bound(
+        DX, DY, True, seed_rep.bilip, np.array(seed_rep.perm), node_limit)
+    rep = bilip(Bijection(X, Y, best_perm))
+    rep.nodes = nodes
+    rep.lower_bound = _trivial_lower_bound(DX, DY)
+    rep.upper_bound = rep.bilip
+    if not exhausted:
+        rep.method = "heuristic"
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# heuristic search
+# ---------------------------------------------------------------------------
+
+def min_bilip_heuristic(X, Y, seed: int = 0, restarts: int = 8,
+                        three_cycle_max: int = 40) -> DistortionReport:
+    """Minimum-cost assignment on squared distances, improved by 2-swap and
+    3-cycle moves on the bilipschitz objective until local optimality.
+
+    Reports the best value found (an upper bound) together with the trivial
+    lower bound from diameter and separation ratios in both directions.
+    3-cycle moves are scanned only up to ``three_cycle_max`` points (the
+    neighbourhood grows cubically); local optimality refers to the scanned
+    neighbourhood.
+    """
+    if restarts < 1:
+        raise DomainError(f"restarts must be at least 1, got {restarts}")
+    X, Y, DX, DY = _distances(X, Y)
+    n = len(X)
+    rng = np.random.default_rng(seed)
+
+    _, assign = linear_sum_assignment(cdist(X, Y) ** 2)
+    starts = [np.asarray(assign)]
+    for _ in range(restarts - 1):
+        starts.append(rng.permutation(n))
+
+    best_perm, best_val = None, math.inf
+    for perm in starts:
+        val, perm = _local_search(DX, DY, True, perm, n <= three_cycle_max)
+        if val < best_val:
+            best_val, best_perm = val, perm
+
+    rep = bilip(Bijection(X, Y, best_perm))
+    rep.method = "heuristic"
+    rep.upper_bound = rep.bilip
+    rep.lower_bound = _trivial_lower_bound(DX, DY)
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# grid extremal quantities
+# ---------------------------------------------------------------------------
+
+def regular_grid(n: int, d: int) -> np.ndarray:
+    """{1, ..., n}^d in lexicographic order."""
+    return np.array(list(itertools.product(range(1, n + 1), repeat=d)), dtype=float)
+
+
+def min_lip_exact(X, Y, node_limit: int = 20_000_000) -> tuple[float, np.ndarray, bool]:
+    """Smallest Lip(f) over bijections X -> Y by branch and bound (forward
+    ratios only; contractions are allowed, so values below 1 are normal)."""
+    _, _, DX, DY = _distances(X, Y)
+    best, best_perm, _, exhausted = _branch_and_bound(
+        DX, DY, False, math.inf, None, node_limit)
     return best, best_perm, exhausted
 
 
@@ -352,26 +347,9 @@ def feige_ls(S, n: int, d: int, exact_point_cap: int = 12) -> float:
         if exhausted:
             return val
     # heuristic: assignment init, 2-swap descent on the Lip objective
-    DX, DY = _pairwise(S), _pairwise(grid)
+    _, _, DX, DY = _distances(S, grid)
     _, perm = linear_sum_assignment(cdist(S, grid) ** 2)
-    perm = np.asarray(perm)
-    iu = np.triu_indices(len(S), k=1)
-
-    def lip_of(p):
-        return float((DY[np.ix_(p, p)][iu] / DX[iu]).max())
-
-    val = lip_of(perm)
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(S)):
-            for j in range(i + 1, len(S)):
-                perm[i], perm[j] = perm[j], perm[i]
-                cand = lip_of(perm)
-                if cand < val:
-                    val, improved = cand, True
-                else:
-                    perm[i], perm[j] = perm[j], perm[i]
+    val, _ = _local_search(DX, DY, False, np.asarray(perm), False)
     return val
 
 
@@ -383,6 +361,8 @@ def feige_cn_window(n: int, d: int, window, budget: int = 2_000_000,
 
     Returns (value, maximizing subset, exact_flag).
     """
+    if samples is not None and samples < 1:
+        raise DomainError(f"samples must be at least 1, got {samples}")
     window = [(int(math.ceil(lo)), int(math.floor(hi))) for lo, hi in window]
     lattice = sorted(itertools.product(*[range(lo, hi + 1) for lo, hi in window]))
     k = n ** d

@@ -347,7 +347,7 @@ def test_criterion_15_symdiff_and_boundary_measure():
     rows = G.boundary_neighborhood_measure(f, [0.1, 0.05, 0.02], grid_res=256)
     closed_ok = True
     for row in rows:
-        stated = 8.0 * row.eps + (math.pi - 8.0) * row.eps ** 2
+        stated = 8.0 * row.eps + (math.pi - 4.0) * row.eps ** 2
         if abs(row.measure - stated) > row.raster_slack:
             closed_ok = False
     _verdict(15, violations == 0 and closed_ok,

@@ -68,6 +68,46 @@ class TestExitCodes:
         assert json.loads(out)["result"]["rows"][0]["eps"] == 0.0
 
 
+def _write_points(path, points):
+    path.write_text("x,y\n" + "".join(f"{a},{b}\n" for a, b in points))
+    return str(path)
+
+
+class TestDistortionCommands:
+    def test_distort_heuristic_on_one_point_exits_two(self, capsys, tmp_path):
+        one = _write_points(tmp_path / "one.csv", [(0.0, 0.0)])
+        code, out, err = run(capsys, "distort-heuristic", "--x", one, "--y", one)
+        assert code == 2
+        assert out == ""
+        assert "need at least 2 points" in err
+
+    def test_feige_cn_zero_samples_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "feige-cn", "args": {
+            "n": 2, "d": 2, "window": "0:3", "samples": 0}}))
+        for argv in (["feige-cn", "--n", "2", "--d", "2", "--window", "0:3",
+                      "--samples", "0"], ["--config", str(cfg)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "samples must be at least 1" in err
+
+    def test_node_limit_downgrade_warns_on_stderr(self, capsys, tmp_path):
+        rng = np.random.default_rng(7)
+        x, y = (_write_points(tmp_path / name, rng.integers(0, 10, (8, 2))
+                              + 0.1 * rng.random((8, 2))) for name in ("a.csv", "b.csv"))
+        code, out, err = run(capsys, "distort-exact", "--x", x, "--y", y,
+                             "--node-limit", "10")
+        assert code == 0
+        assert json.loads(out)["result"]["method"] == "heuristic"
+        assert err == ("netlab: warning: node limit reached; bilip is a "
+                       "heuristic upper bound\n")
+        code, out, err = run(capsys, "distort-exact", "--x", x, "--y", y)
+        assert code == 0
+        assert json.loads(out)["result"]["method"] == "exact"
+        assert err == ""
+
+
 class TestOutputs:
     def test_params_emits_csv_and_json(self, capsys, tmp_path):
         out = str(tmp_path / "run")

@@ -181,6 +181,59 @@ class TestExactSearch:
             min_bilip_exact(X, Y, exact_threshold=10)
 
 
+class TestPinnedResults:
+    """Values of the two exact searches on fixed instances, recorded from the
+    separate bilipschitz and Lipschitz branch and bounds that the shared
+    engine replaced; results, tie-breaks and node counts must not move."""
+
+    @pytest.mark.parametrize("seed, n, node_limit, bilip, perm, nodes, method", [
+        (101, 5, 5_000_000, 3.0, [4, 3, 1, 2, 0], 289, "exact"),
+        (104, 7, 5_000_000, 2.1095023109728985, [3, 6, 0, 4, 2, 1, 5], 1082, "exact"),
+        (37, 8, 10, 3.1622776601683795, [3, 7, 6, 1, 4, 0, 2, 5], 16, "heuristic"),
+        (37, 8, 1000, 2.8284271247461903, [0, 5, 1, 3, 4, 6, 2, 7], 1006, "heuristic"),
+    ])
+    def test_min_bilip_exact(self, seed, n, node_limit, bilip, perm, nodes, method):
+        X, Y = random_instance(seed, n)
+        rep = min_bilip_exact(X, Y, node_limit=node_limit)
+        assert (rep.bilip, rep.perm.tolist(), rep.nodes, rep.method) == (
+            bilip, perm, nodes, method)
+
+    @pytest.mark.parametrize("seed, n, node_limit, value, perm, exhausted", [
+        (61, 5, 20_000_000, 2.91547594742265, [0, 1, 4, 2, 3], True),
+        (63, 7, 20_000_000, 1.4142135623730951, [3, 2, 0, 6, 4, 5, 1], True),
+        (37, 8, 50, 4.47213595499958, [0, 1, 5, 2, 3, 4, 6, 7], False),
+    ])
+    def test_min_lip_exact(self, seed, n, node_limit, value, perm, exhausted):
+        X, Y = random_instance(seed, n)
+        val, got, done = min_lip_exact(X, Y, node_limit=node_limit)
+        assert (val, got.tolist(), done) == (value, perm, exhausted)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("X, Y, error", [
+        ([[0.0, 0], [1, 0], [0, 1]], [[0.0, 0], [1, 0], [0, 1], [1, 1]], DomainError),
+        ([[0.0, 0], [1, 0], [0, 1], [1, 1]], [[0.0, 0], [1, 0], [0, 1]], DomainError),
+        ([[0.0, 0]], [[1.0, 1]], DomainError),
+        ([[0.0, 0], [1, 0], [0, 1]], [[0.0, 0], [1, 0], [1, 0]], InjectivityError),
+    ], ids=["fewer-sources", "fewer-targets", "one-point", "duplicate-targets"])
+    def test_min_lip_exact_rejects_malformed_input(self, X, Y, error):
+        with pytest.raises(error):
+            min_lip_exact(np.array(X), np.array(Y))
+
+    def test_heuristic_needs_two_points(self):
+        with pytest.raises(DomainError, match="need at least 2 points"):
+            min_bilip_heuristic(np.zeros((1, 2)), np.ones((1, 2)))
+
+    def test_heuristic_needs_a_start(self):
+        X, Y = random_instance(5, 4)
+        with pytest.raises(DomainError, match="restarts"):
+            min_bilip_heuristic(X, Y, restarts=0)
+
+    def test_window_needs_samples(self):
+        with pytest.raises(DomainError, match="samples"):
+            feige_cn_window(2, 2, [(0, 2), (0, 2)], samples=0)
+
+
 class TestHeuristic:
     def test_same_set_found_at_init(self):
         X = np.array([[0.0, 0], [1, 0], [0, 1], [3, 3], [5, 1]])

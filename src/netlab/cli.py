@@ -133,6 +133,8 @@ def _parse_map(spec: str):
         dpart, _, coeffs = rest.partition(":")
         d = int(dpart)
         vals = [float(v) for v in coeffs.split(",")]
+        if d < 1 or len(vals) not in (d * d, d * d + d):
+            raise ConfigurationError(f"cannot parse map spec {spec!r}")
         A = np.array(vals[: d * d]).reshape(d, d)
         b = np.array(vals[d * d:]) if len(vals) > d * d else None
         return G.AffineMap(A, b)
@@ -147,10 +149,25 @@ def _parse_map(spec: str):
     raise ConfigurationError(f"cannot parse map spec {spec!r}")
 
 
+def _fraction(text) -> Fraction:
+    """A rational flag value such as ``5/2`` or ``0.1``."""
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigurationError(f"not a rational number: {text!r}") from None
+
+
+def _cube(a) -> list:
+    """The cube of the net commands: ``--corner`` plus ``--side`` per axis."""
+    corner = [_fraction(v) for v in str(a.get("corner", "0,0")).split(",")]
+    side = _fraction(a["side"])
+    return [(c, c + side) for c in corner]
+
+
 def _parse_rho(spec: str):
     kind, _, rest = spec.partition(":")
     if kind == "const":
-        return D.ConstantDensity(Fraction(rest))
+        return D.ConstantDensity(_fraction(rest))
     if kind == "chessboard":
         with open(rest) as fh:
             doc = json.load(fh)  # as the chessboard command writes it
@@ -229,7 +246,7 @@ def _cmd_params(a):
 
 def _make_schedule(a):
     if a.get("schedule"):
-        return D.FamilySchedule(c=Fraction(str(a["c"])),
+        return D.FamilySchedule(c=_fraction(a["c"]),
                                 counts=_parse_schedule(a["schedule"]))
     m = parse_modulus(a["modulus"])
     trace = P.param_sequence(int(a["d"]), m, float(a["eps"]), float(a["c"]),
@@ -258,10 +275,12 @@ def _cmd_chessboard(a):
     fams = D.build_nested_families(
         sched, d=d, levels=int(a.get("levels", 3)),
         offsets=a.get("offsets", "zero"), seed=a.get("seed"))
-    delta = fams[-1].lam / int(a.get("delta_div", 100))
-    rho = D.chessboard_psi(fams, xi=Fraction(str(a.get("xi", "1/10"))),
-                           smoothing_delta=delta,
-                           base=Fraction(str(a["base"])) if a.get("base") else None)
+    delta_div = int(a.get("delta_div", 100))
+    if delta_div < 1:
+        raise ConfigurationError(f"delta-div must be >= 1, got {delta_div}")
+    rho = D.chessboard_psi(fams, xi=_fraction(a.get("xi", "1/10")),
+                           smoothing_delta=fams[-1].lam / delta_div,
+                           base=_fraction(a["base"]) if a.get("base") else None)
     gaps = rho.check_property2()
     payload = {
         "density": rho.to_json(),
@@ -275,10 +294,7 @@ def _cmd_chessboard(a):
 
 def _cmd_net_build(a):
     rho = _parse_rho(a["rho"])
-    corner = [Fraction(str(v)) for v in str(a.get("corner", "0,0")).split(",")]
-    side = Fraction(str(a["side"]))
-    cube = [(c, c + side) for c in corner]
-    res = NG.construct_net_cube(rho, cube, int(a["m"]))
+    res = NG.construct_net_cube(rho, _cube(a), int(a["m"]))
     payload = {
         "points": len(res.cloud),
         "empty_cells": [list(t) for t in res.empty_cells],
@@ -301,10 +317,7 @@ def _cmd_net_audit(a):
 
 def _cmd_net_discrepancy(a):
     rho = _parse_rho(a["rho"])
-    corner = [Fraction(str(v)) for v in str(a.get("corner", "0,0")).split(",")]
-    side = Fraction(str(a["side"]))
-    cube = [(c, c + side) for c in corner]
-    res = NG.construct_net_cube(rho, cube, int(a["m"]))
+    res = NG.construct_net_cube(rho, _cube(a), int(a["m"]))
     rep = NG.discrepancy_report(res)
     payload = {
         "per_cell": [{"index": list(i), "discrepancy": str(v)} for i, v in rep.per_cell],
@@ -466,6 +479,10 @@ _FLAGS = {
 
 _BOOL_FLAGS = {"certify", "binary"}
 
+# errors in what the caller asked for: exit 2
+_CONFIG_ERRORS = (ConfigurationError, DomainError, RangeError, BudgetError,
+                  FileNotFoundError, ValueError)
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -518,8 +535,7 @@ def main(argv=None) -> int:
     try:
         command, resolved = _resolve(args)
         payload, rows, cols, svg, failed = _HANDLERS[command](resolved)
-    except (ConfigurationError, DomainError, RangeError, BudgetError,
-            FileNotFoundError, ValueError) as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"netlab: configuration error: {exc}", file=sys.stderr)
         return 2
     except PropertyViolation as exc:

@@ -86,15 +86,9 @@ class TiledFamily:
         )
 
 
-def e1_adjacent(family: TiledFamily, S, S2) -> bool:
-    """True iff S2 = S + e1 (directed adjacency along the first axis)."""
-    if tuple(S) not in family.cubes or tuple(S2) not in family.cubes:
-        raise DomainError("both cubes must belong to the family")
-    S, S2 = tuple(S), tuple(S2)
-    return S2[0] == S[0] + 1 and S2[1:] == S[1:]
-
-
 def adjacent_pairs(family: TiledFamily):
+    """The pairs (S, S + e1) of the family: adjacency is directed along the
+    first axis."""
     cubeset = set(family.cubes)
     for t in family.cubes:
         t2 = (t[0] + 1,) + t[1:]
@@ -153,6 +147,10 @@ def build_nested_families(schedule: FamilySchedule, d: int, levels: int,
     """
     if levels < 1 or levels > len(schedule.counts):
         raise ConfigurationError(f"levels={levels} outside schedule range")
+    if schedule.c <= 0:
+        raise ConfigurationError(f"c must be positive, got {schedule.c}")
+    if d < 1:
+        raise ConfigurationError(f"d must be >= 1, got {d}")
     if offsets not in ("zero", "seeded-random"):
         raise ConfigurationError(f"unknown offsets rule {offsets!r}")
     for N, M in schedule.counts:

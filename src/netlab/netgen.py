@@ -132,6 +132,8 @@ def construct_net_cube(rho, cube, m_k: int, rho_domain=None) -> NetCubeResult:
     for lo, hi in cube:
         if hi - lo != side:
             raise DomainError("net construction needs a cube")
+    if side <= 0:
+        raise DomainError(f"cube side must be positive, got {side}")
     if rho_domain is None:
         rho_domain = tuple((Fraction(0), Fraction(1)) for _ in range(d))
     else:
@@ -165,62 +167,6 @@ def construct_net_cube(rho, cube, m_k: int, rho_domain=None) -> NetCubeResult:
 
 
 # ---------------------------------------------------------------------------
-# whole-window construction
-# ---------------------------------------------------------------------------
-
-def construct_net_window(rho, cube_specs, window) -> PointCloud:
-    """Union of per-cube constructions plus the integer lattice on the rest
-    of the window.
-
-    ``cube_specs`` is a list of (corner, l_k, m_k); the packing rules are
-    enforced: sidelengths satisfy l_k >= R_{k-1} with R_k = 2 sum_{i<=k} l_i,
-    every cube fits in B(0, R_k), cubes stay disjoint and inside the window.
-    """
-    window = tuple((Fraction(lo), Fraction(hi)) for lo, hi in window)
-    d = len(window)
-    boxes = []
-    R_prev = Fraction(0)
-    R = Fraction(0)
-    for k, (corner, l_k, m_k) in enumerate(cube_specs, start=1):
-        l_k = Fraction(l_k)
-        if k > 1 and l_k < R_prev:
-            raise ConfigurationError(
-                f"cube {k}: sidelength {l_k} below the packing floor R_{k-1}={R_prev}")
-        R = R_prev + 2 * l_k
-        box = tuple((Fraction(c), Fraction(c) + l_k) for c in corner)
-        far = math.sqrt(sum(float(max(abs(lo), abs(hi))) ** 2 for lo, hi in box))
-        if far > float(R) * (1 + 1e-12):
-            raise ConfigurationError(
-                f"cube {k} escapes the packing ball of radius {float(R):.6g}")
-        for other in boxes:
-            if all(min(hi, ohi) > max(lo, olo)
-                   for (lo, hi), (olo, ohi) in zip(box, other)):
-                raise ConfigurationError(f"cube {k} overlaps an earlier cube")
-        for (lo, hi), (wlo, whi) in zip(box, window):
-            if lo < wlo or hi > whi:
-                raise ConfigurationError(f"cube {k} escapes the window")
-        boxes.append(box)
-        R_prev = R
-
-    points = []
-    for (corner, l_k, m_k), box in zip(cube_specs, boxes):
-        res = construct_net_cube(rho, box, m_k)
-        points.extend(res.cloud.points.tolist())
-
-    # integer lattice outside the closed cubes
-    ranges = [range(math.ceil(float(lo)), math.floor(float(hi)) + 1)
-              for lo, hi in window]
-    for p in np.ndindex(*[len(r) for r in ranges]):
-        q = [ranges[k][p[k]] for k in range(d)]
-        inside = any(all(float(lo) <= q[k] <= float(hi)
-                         for k, (lo, hi) in enumerate(box)) for box in boxes)
-        if not inside:
-            points.append([float(v) for v in q])
-    return PointCloud(np.array(points),
-                      window=tuple((float(lo), float(hi)) for lo, hi in window))
-
-
-# ---------------------------------------------------------------------------
 # audits
 # ---------------------------------------------------------------------------
 
@@ -251,14 +197,6 @@ def audit_net(cloud: PointCloud, window=None, grid_resolution: int = 256) -> Net
     slack = 0.5 * math.sqrt(sum(((hi - lo) / grid_resolution) ** 2 for lo, hi in window))
     return NetAudit(separation=separation, net_radius_low=dmax,
                     net_radius_high=dmax + slack, grid_slack=slack)
-
-
-def rescale_audit(audit: NetAudit, l_k: float) -> NetAudit:
-    """Audit of the unit-cube copy X_k = phi^{-1}(X on the cube)."""
-    return NetAudit(separation=audit.separation / l_k,
-                    net_radius_low=audit.net_radius_low / l_k,
-                    net_radius_high=audit.net_radius_high / l_k,
-                    grid_slack=audit.grid_slack / l_k)
 
 
 # ---------------------------------------------------------------------------

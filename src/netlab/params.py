@@ -89,13 +89,6 @@ def theta(d: int, m: Modulus, eps: float) -> float:
     return _theta_cached(d, m, eps)[0]
 
 
-def theta_info(d: int, m: Modulus, eps: float) -> tuple[float, bool]:
-    """theta together with a flag telling whether an inverse was clamped."""
-    if d < 2:
-        raise DomainError("theta is defined for d >= 2")
-    return _theta_cached(d, m, eps)
-
-
 @lru_cache(maxsize=None)
 def phi_log(d: int, m: Modulus, eps: float) -> float:
     """log of the stretch-gain parameter.  phi itself underflows binary64
@@ -178,31 +171,6 @@ def big_m(N: int, d: int, m: Modulus, eps: float) -> int:
     return _bigm_cached(N, d, m, eps)
 
 
-@dataclass
-class DichotomyParams:
-    """Summary of the parameters one dichotomy application needs."""
-
-    d: int
-    epsilon: float
-    theta: float
-    phi: float
-    N0: int
-    modulus: Modulus
-
-    def m_of_n(self, N: int) -> int:
-        return big_m(N, self.d, self.modulus, self.epsilon)
-
-
-def dichotomy_params(d: int, m: Modulus, eps: float, c: float) -> DichotomyParams:
-    return DichotomyParams(
-        d=d, epsilon=eps,
-        theta=theta(d, m, eps) if d >= 2 else float("nan"),
-        phi=phi(d, m, eps),
-        N0=n0(d, m, eps, c),
-        modulus=m,
-    )
-
-
 # ---------------------------------------------------------------------------
 # level sequences
 # ---------------------------------------------------------------------------
@@ -260,7 +228,7 @@ def param_sequence(d: int, m: Modulus, eps: float, c: float,
         raise DomainError(f"c={c} outside (0, a_omega={m.a_omega})")
     ph_log = phi_log(d, m, eps)
     ph = math.exp(ph_log)
-    clamped = theta_info(d, m, eps)[1] if d >= 2 else False
+    clamped = _theta_cached(d, m, eps)[1] if d >= 2 else False
     trace = ParamTrace(d=d, epsilon=eps, c=c, phi=ph, phi_log=ph_log,
                        clamped=clamped)
     log_c1 = math.log(c)
@@ -555,11 +523,6 @@ def certify_r(d: int, m: Modulus, eps: float, c: float, max_levels: int = 48,
         return RCertificate(r=r, lhs_log=float(lhs), rhs_log=float(rhs),
                             margin=float(lhs - rhs), mode="extrapolated",
                             trace=trace, model=model)
-
-
-def compute_r(d: int, m: Modulus, eps: float, c: float, max_levels: int = 48,
-              extrapolate: bool = True) -> int:
-    return certify_r(d, m, eps, c, max_levels, extrapolate).r
 
 
 def num_iter_margin(d: int, m: Modulus, eps: float, c: float, i: int,

@@ -3,10 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netlab import params as P
-from netlab.cli import main
-from netlab.moduli import logpow
+from netlab.cli import (_CONFIG_ERRORS, _parse_map, _parse_schedule,
+                        _parse_window, main)
+from netlab.moduli import logpow, parse_modulus
 from netlab.netgen import PointCloud
 
 
@@ -66,6 +69,92 @@ class TestExitCodes:
                            "--eps-list", "0", "--resolution", "64")
         assert code == 0
         assert json.loads(out)["result"]["rows"][0]["eps"] == 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ["moduli-check", "--modulus", "holder"],
+        ["moduli-check", "--modulus", "logpow"],
+        ["moduli-check", "--modulus", "scaled"],
+        ["symdiff", "--f", "stretch:1,0,1,1", "--g", "identity:2"],
+        ["net-build", "--rho", "const:1", "--side", "0", "--m", "2"],
+        ["net-build", "--rho", "const:1", "--side", "-2", "--m", "2"],
+        ["net-discrepancy", "--rho", "const:1", "--side", "0", "--m", "2"],
+        ["chessboard", "--d", "2", "--schedule", "6x2", "--c", "1",
+         "--levels", "1", "--delta-div", "0"],
+        ["families", "--d", "2", "--schedule", "6x2", "--c", "0", "--levels", "1"],
+        ["families", "--d", "0", "--schedule", "6x2", "--c", "1", "--levels", "1"],
+        ["net-build", "--rho", "const:1/0", "--side", "2", "--m", "2"],
+        ["families", "--d", "2", "--schedule", "6x2", "--c", "1/0", "--levels", "1"],
+        ["chessboard", "--d", "2", "--schedule", "6x2", "--c", "1",
+         "--levels", "1", "--xi", "1/0"],
+        ["dichotomy", "--map", "identity:1", "--modulus", "identity", "--c", "0.5",
+         "--n", "0", "--m", "5", "--eps", "0.1", "--d", "1"],
+        ["dichotomy", "--map", "stretch:0.5,0.15,0.0667,1.15", "--modulus",
+         "identity", "--c", "0.5", "--n", "60", "--m", "0", "--eps", "0.1",
+         "--d", "1"],
+        ["b1-trace", "--map", "identity:1", "--modulus", "identity", "--eps", "0.1",
+         "--c", "0.5", "--d", "1", "--max-iters", "0"],
+        ["volume-check", "--map", "affine:2:1.2,0.3,-0.1,0.9", "--modulus",
+         "identity", "--c", "1", "--n", "0", "--eps", "0.5", "--d", "2"],
+        ["volume-check", "--map", "affine:2:1.2,0.3,-0.1,0.9", "--modulus",
+         "identity", "--c", "1", "--n", "4", "--eps", "0.5", "--d", "0"],
+    ], ids=["holder-no-value", "logpow-no-value", "scaled-no-value",
+            "stretch-fills-window", "net-build-side-0", "net-build-side-neg",
+            "net-discrepancy-side-0", "delta-div-0", "families-c-0",
+            "families-d-0", "rho-zero-denominator", "c-zero-denominator",
+            "xi-zero-denominator", "dichotomy-n-0", "dichotomy-m-0",
+            "b1-max-iters-0", "volume-n-0", "volume-d-0"])
+    def test_bad_flag_value_exits_two_without_traceback(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("netlab: configuration error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+_VALUES = st.lists(st.sampled_from(["-1", "0", "0.5", "1", "2"]), max_size=6)
+
+
+def _parses_or_exits_two(parse, spec):
+    try:
+        parse(spec)
+    except _CONFIG_ERRORS:
+        pass
+
+
+def _pairs(values, sep):
+    return ",".join(sep.join(values[i:i + 2]) for i in range(0, len(values), 2))
+
+
+class TestSpecParsersFuzz:
+    """Every spec either parses or raises an error that main() maps to exit 2."""
+
+    @given(st.sampled_from(["identity", "holder", "logpow", "scaled"]), _VALUES)
+    @example("holder", [])
+    @settings(max_examples=200, deadline=None)
+    def test_modulus(self, kind, values):
+        _parses_or_exits_two(parse_modulus, ":".join([kind, *values]))
+
+    @given(st.sampled_from(["identity", "affine", "shear", "radial-bump",
+                            "stretch"]), _VALUES)
+    @example("stretch", ["1", "0", "1", "1"])
+    @settings(max_examples=300, deadline=None)
+    def test_map(self, kind, values):
+        if kind == "affine" and values:
+            spec = f"affine:{values[0]}:{','.join(values[1:])}"
+        else:
+            spec = f"{kind}:{','.join(values)}"
+        _parses_or_exits_two(_parse_map, spec)
+
+    @given(_VALUES)
+    @settings(max_examples=100, deadline=None)
+    def test_window(self, values):
+        _parses_or_exits_two(_parse_window, _pairs(values, ":"))
+
+    @given(_VALUES)
+    @settings(max_examples=100, deadline=None)
+    def test_schedule(self, values):
+        _parses_or_exits_two(_parse_schedule, _pairs(values, "x"))
 
 
 def _write_points(path, points):

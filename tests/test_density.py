@@ -13,7 +13,6 @@ from netlab.density import (
     adjacent_pairs,
     build_nested_families,
     chessboard_psi,
-    e1_adjacent,
     nesting_measure_report,
     ramp_region_integral,
     schedule_from_trace,
@@ -30,15 +29,9 @@ def desk_families(levels=3, offsets="zero", seed=None, d=2):
 
 class TestAdjacency:
     def test_directed_adjacency(self):
+        # only (0,0) -> (1,0): not the transverse neighbour, not the reverse
         fam = TiledFamily(level=1, lam=F(1, 4), cubes=((0, 0), (1, 0), (0, 1)))
-        assert e1_adjacent(fam, (0, 0), (1, 0))
-        assert not e1_adjacent(fam, (0, 0), (0, 1))
-        assert not e1_adjacent(fam, (1, 0), (0, 0))
-
-    def test_requires_membership(self):
-        fam = TiledFamily(level=1, lam=F(1, 4), cubes=((0, 0),))
-        with pytest.raises(DomainError):
-            e1_adjacent(fam, (0, 0), (5, 5))
+        assert list(adjacent_pairs(fam)) == [((0, 0), (1, 0))]
 
 
 class TestConstruction:

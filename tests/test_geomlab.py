@@ -13,7 +13,6 @@ from netlab.geomlab import (
     VolumeEstimate,
     _boundary_points,
     _grid_points,
-    GridMap,
     RadialBump,
     boundary_neighborhood_measure,
     check_statement1,
@@ -59,18 +58,6 @@ class TestMaps:
     def test_stretch_window_validated(self):
         with pytest.raises(DomainError):
             two_region_stretch(1.0, 0.9, 0.3, 2.0)
-
-    def test_grid_map_matches_sampled_affine(self):
-        A = AffineMap([[1.1, 0.2], [0.0, 0.9]])
-        axes = np.linspace(0, 1, 17)
-        vals = np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1)
-        vals = A(vals.reshape(-1, 2)).reshape(17, 17, 2)
-        gm = GridMap([(0, 1), (0, 1)], vals)
-        pts = np.random.default_rng(2).uniform(0.1, 0.9, size=(10, 2))
-        assert np.allclose(gm(pts), A(pts), atol=1e-12)
-        inv, failures = gm.invert(A(pts))
-        assert failures == 0
-        assert np.allclose(inv, pts, atol=1e-6)
 
     def test_injectivity_check(self):
         assert injectivity_check(identity_map(2), [(0, 1), (0, 1)])
@@ -164,10 +151,10 @@ class TestAlgorithmB1:
         assert abs(z / c2 - round(z / c2)) < 1e-9
 
     def test_trace_within_r_when_bound_ok(self):
-        from netlab.params import compute_r
+        from netlab.params import certify_r
         tr = run_algorithm_b1(identity_map(1), 1, M_ID, 0.1, 0.5)
         assert tr.modulus_bound_ok
-        assert tr.p <= compute_r(1, M_ID, 0.1, 0.5)
+        assert tr.p <= certify_r(1, M_ID, 0.1, 0.5).r
 
 
 class TestImageVolume:

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from netlab.errors import DomainError, InjectivityError, RangeError
 from netlab.moduli import (
     FiniteMap,
-    Modulus,
     bi_l_omega,
     check_class_M,
     holder,
-    homogeneous_constant,
     identity,
     l_omega,
     logpow,
@@ -193,41 +191,6 @@ class TestContinuityConstants:
         with pytest.raises(InjectivityError):
             bi_l_omega(f, identity())
 
-    def test_homogeneous_identity_bounded_by_one(self):
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-1, 1, size=(8, 2))
-        f = FiniteMap(pts, pts)
-        for m in [identity(), logpow(1.0), holder(0.5)]:
-            assert homogeneous_constant(f, m, np.zeros(2)) <= 1.0 + 1e-12
-
-    def test_homogeneous_doubling(self):
-        pts = np.array([[0.1], [0.2], [-0.35]])
-        f = FiniteMap(pts, 2.0 * pts)
-        assert homogeneous_constant(f, identity(), [0.0]) == pytest.approx(2.0, rel=1e-12)
-
-    def test_homogeneous_matches_exhaustive(self):
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(-0.5, 0.5, size=(6, 2))
-        A = np.array([[1.2, 0.3], [-0.1, 0.8]])
-        f = FiniteMap(pts, pts @ A.T)
-        m = logpow(0.5)
-        center = np.zeros(2)
-        # exhaustive (R, pair) double loop
-        norms = np.linalg.norm(pts, axis=1)
-        best = 0.0
-        for R in norms:
-            if R <= 0:
-                continue
-            for i in range(6):
-                for j in range(i + 1, 6):
-                    if norms[i] <= R * (1 + 1e-15) and norms[j] <= R * (1 + 1e-15):
-                        t = np.linalg.norm(pts[j] - pts[i]) / R
-                        if 0.0 < t < m.a_omega:
-                            di = np.linalg.norm(f.image_points[j] - f.image_points[i])
-                            best = max(best, di / (R * m.eval(float(t))))
-        assert homogeneous_constant(f, m, center) == pytest.approx(best, rel=1e-12)
-
-
 class TestProperties:
     @given(st.sampled_from(["identity", "holder", "logpow"]),
            st.floats(min_value=0.05, max_value=0.95))
@@ -247,19 +210,9 @@ class TestProperties:
 
 
 class TestSerialization:
-    def test_modulus_roundtrip(self):
-        for m in [identity(), holder(0.4), logpow(1.5), scaled(2.5, logpow(0.5))]:
-            assert Modulus.from_json(m.to_json()) == m
-
     def test_parse_specs(self):
         assert parse_modulus("identity").kind == "identity"
         assert parse_modulus("holder:0.5").alpha == 0.5
         assert parse_modulus("logpow:0.01").alpha == 0.01
         m = parse_modulus("scaled:2:logpow:1")
         assert m.kind == "scaled" and m.L == 2.0 and m.inner.alpha == 1.0
-
-    def test_finite_map_roundtrip(self):
-        f = FiniteMap(np.array([[0.0, 1.0]]), np.array([[2.0, 3.0]]))
-        g = FiniteMap.from_json(f.to_json())
-        assert np.array_equal(f.domain_points, g.domain_points)
-        assert np.array_equal(f.image_points, g.image_points)

@@ -7,13 +7,10 @@ import pytest
 from netlab.errors import ConfigurationError, DomainError
 from netlab.density import ChessboardDensity, ConstantDensity, TiledFamily
 from netlab.netgen import (
-    NetAudit,
     PointCloud,
     audit_net,
     construct_net_cube,
-    construct_net_window,
     discrepancy_report,
-    rescale_audit,
     _floor_dth_root,
 )
 
@@ -92,44 +89,6 @@ class TestConstructCube:
             construct_net_cube(ConstantDensity(1), [(0, 2), (0, 3)], 1)
 
 
-class TestConstructWindow:
-    def test_no_cubes_gives_lattice(self):
-        cloud = construct_net_window(ConstantDensity(1), [], [(-3, 3), (-3, 3)])
-        got = {tuple(p) for p in cloud.points}
-        expect = {(float(i), float(j)) for i in range(-3, 4) for j in range(-3, 4)}
-        assert got == expect
-
-    def test_one_cube_composite(self):
-        cloud = construct_net_window(
-            ConstantDensity(1), [([1, 1], 4, 2)], [(-8, 8), (-8, 8)])
-        pts = {tuple(p) for p in cloud.points}
-        # inside the cube: unit-spaced centres (phase 0.5)
-        assert (1.5, 1.5) in pts and (4.5, 4.5) in pts
-        # lattice points inside the closed cube are dropped
-        assert (3.0, 3.0) not in pts
-        # outside lattice survives
-        assert (-8.0, -8.0) in pts and (7.0, -2.0) in pts
-
-    def test_packing_rule_enforced(self):
-        with pytest.raises(ConfigurationError, match="packing floor"):
-            construct_net_window(
-                ConstantDensity(1),
-                [([1, 1], 4, 2), ([6, 6], 5, 2)],  # needs l_2 >= R_1 = 8
-                [(-64, 64), (-64, 64)])
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ConfigurationError, match="overlaps"):
-            construct_net_window(
-                ConstantDensity(1),
-                [([0, 0], 4, 2), ([2, 2], 8, 2)],
-                [(-32, 32), (-32, 32)])
-
-    def test_escaping_window_rejected(self):
-        with pytest.raises(ConfigurationError, match="window"):
-            construct_net_window(ConstantDensity(1), [([0, 0], 40, 2)],
-                                 [(-8, 8), (-8, 8)])
-
-
 class TestAudit:
     def test_unit_lattice(self):
         pts = np.array([(i, j) for i in range(11) for j in range(11)], dtype=float)
@@ -144,14 +103,6 @@ class TestAudit:
         pts = np.array([[0.0, 0.0], [3.0, 4.0]])
         audit = audit_net(PointCloud(pts), window=((0, 3), (0, 4)), grid_resolution=16)
         assert audit.separation == 5.0
-
-    def test_rescaled_audit(self):
-        audit = NetAudit(separation=1.0, net_radius_low=0.7,
-                         net_radius_high=0.72, grid_slack=0.02)
-        scaled = rescale_audit(audit, 10.0)
-        assert scaled.separation == 0.1
-        assert scaled.net_radius_high == pytest.approx(0.072)
-
 
 class TestDiscrepancy:
     def test_exact_grid_zero_discrepancy(self):

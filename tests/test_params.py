@@ -28,9 +28,9 @@ class TestThetaPhi:
 
     def test_theta_clamps_when_inverse_undefined(self):
         # logpow(0.01) has eval_limit ~ 0.136 < 1/6, so the 1/6 inverse clamps
-        val, clamped = P.theta_info(2, logpow(0.01), 0.1)
-        assert clamped
-        assert 0.0 < val < 0.01
+        m = logpow(0.01)
+        assert P.param_sequence(2, m, 0.1, 0.1, 1).clamped
+        assert 0.0 < P.theta(2, m, 0.1) < 0.01
 
     def test_theta_validates(self):
         with pytest.raises(DomainError):
@@ -101,14 +101,11 @@ class TestN0BigM:
 
     def test_dichotomy_params_invariants(self):
         m = identity()
-        dp1 = P.dichotomy_params(1, m, 0.1, 0.5)
-        assert dp1.phi <= 0.1 ** 3 / 120.0 * (1 + 1e-12)
-        assert dp1.m_of_n(60) >= 1.0 / m.inverse(0.1 / 4.0) - 1
-        dp2 = P.dichotomy_params(2, m, 0.1, 0.1)
-        assert dp2.theta <= 0.1 ** 2
+        assert P.big_m(60, 1, m, 0.1) >= 1.0 / m.inverse(0.1 / 4.0) - 1
         # the constructive choice sits exactly at half the lower-dimensional
         # budget (the admissible supremum)
-        assert dp2.phi == pytest.approx(0.5 * P.phi(1, m, dp2.theta), rel=1e-12)
+        th = P.theta(2, m, 0.1)
+        assert P.phi(2, m, 0.1) == pytest.approx(0.5 * P.phi(1, m, th), rel=1e-12)
 
 
 class TestParamSequence:
@@ -178,8 +175,8 @@ class TestComputeR:
         # the strongest validation of the continuum model: in d=1 the level
         # increments are exactly constant, so both routes must agree exactly
         m = logpow(0.01)
-        r_exact = P.compute_r(1, m, 0.1, 0.1, max_levels=30000, extrapolate=False)
-        r_far = P.compute_r(1, m, 0.1, 0.1, max_levels=8, extrapolate=True)
+        r_exact = P.certify_r(1, m, 0.1, 0.1, max_levels=30000, extrapolate=False).r
+        r_far = P.certify_r(1, m, 0.1, 0.1, max_levels=8, extrapolate=True).r
         assert r_exact == r_far == 15012
 
     def test_fails_at_r_minus_one_holds_at_r_exact_regime(self):
@@ -191,14 +188,14 @@ class TestComputeR:
 
     def test_unterminated_error_carries_trace(self):
         with pytest.raises(UnterminatedError) as exc:
-            P.compute_r(1, logpow(0.01), 0.1, 0.1, max_levels=50, extrapolate=False)
+            P.certify_r(1, logpow(0.01), 0.1, 0.1, max_levels=50, extrapolate=False)
         assert exc.value.trace is not None
         assert len(exc.value.trace.levels) == 50
 
     def test_holder_never_terminates(self):
         from netlab.moduli import holder
         with pytest.raises(UnterminatedError):
-            P.compute_r(1, holder(0.5), 0.3, 0.5, max_levels=30)
+            P.certify_r(1, holder(0.5), 0.3, 0.5, max_levels=30)
 
     def test_r_shape_fit(self):
         # r tracks 1/(c poly(eps)): fit the exponent across an eps grid and
@@ -206,7 +203,7 @@ class TestComputeR:
         m = logpow(0.5)
         c = 0.1
         eps_grid = [0.4, 0.3, 0.2, 0.15, 0.1]
-        rs = [P.compute_r(1, m, e, c, max_levels=8) for e in eps_grid]
+        rs = [P.certify_r(1, m, e, c, max_levels=8).r for e in eps_grid]
         A = np.vstack([np.ones(len(eps_grid)), -np.log(eps_grid)]).T
         coef, *_ = np.linalg.lstsq(A, np.log(rs), rcond=None)
         log_C, p = coef

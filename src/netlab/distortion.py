@@ -33,8 +33,8 @@ def _pairwise(points) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _pairs(n):
-    """Index arrays (rows, columns) of the pairs i < j among n points; the
-    local search asks for them once per move, so they are built once per n."""
+    """Index arrays (rows, columns) of the pairs i < j among n points, built
+    once per n for the searches and the distortion checks."""
     return np.triu_indices(n, k=1)
 
 
@@ -133,17 +133,6 @@ def displacement(b: Bijection) -> float:
     return float(np.linalg.norm(b.target[b.perm] - b.source, axis=1).max())
 
 
-def _objective(DX, DY, perm, symmetric):
-    """Largest pair ratio |f(x)-f(y)| / |x-y| of the pairing ``perm``, and
-    with ``symmetric`` also the inverse ratios (the bilipschitz constant)."""
-    iu = _pairs(len(perm))
-    dyp = DY[np.ix_(perm, perm)][iu]
-    dx = DX[iu]
-    if symmetric:
-        return float(max((dyp / dx).max(), (dx / dyp).max()))
-    return float((dyp / dx).max())
-
-
 def _trivial_lower_bound(DX, DY):
     iu = _pairs(len(DX))
     diam_x, diam_y = DX[iu].max(), DY[iu].max()
@@ -209,38 +198,110 @@ def _branch_and_bound(DX, DY, symmetric, best, best_perm, node_limit):
     return best, best_perm, nodes, exhausted
 
 
+# Candidate moves are scored in blocks of about this many new pair ratios
+# (moves x moved points x points), which bounds a block's memory at any n.
+_BLOCK_RATIOS = 1 << 16
+
+
+@functools.lru_cache(maxsize=None)
+def _three_cycles(n):
+    """Every 3-cycle among n points, in the order the local search tries
+    them: triples in ``combinations`` order, rotation (j, k, i) before
+    (k, i, j).  Returns ``(moved, source)``: point ``moved[c, u]`` takes the
+    target of point ``source[c, u]``."""
+    moved = np.repeat(np.array(list(itertools.combinations(range(n), 3)),
+                               dtype=np.intp).reshape(-1, 3), 2, axis=0)
+    source = np.empty_like(moved)
+    source[0::2] = moved[0::2][:, [1, 2, 0]]
+    source[1::2] = moved[1::2][:, [2, 0, 1]]
+    moved.setflags(write=False)
+    source.setflags(write=False)
+    return moved, source
+
+
 def _local_search(DX, DY, symmetric, perm, three_cycles):
     """Descent from ``perm`` by 2-swap moves, followed in each sweep by
     3-cycle moves when ``three_cycles`` is set, until no move lowers the
-    objective.  Returns ``(value, perm)``."""
+    objective.  The objective is the largest pair ratio
+    |f(x)-f(y)| / |x-y| of the pairing, and with ``symmetric`` also the
+    inverse ratios (the bilipschitz constant).  Returns ``(value, perm)``.
+
+    Moves are tried in a fixed order and the first that lowers the
+    objective is taken.  They are scored in numpy blocks, each exactly: a
+    move changes only the pairs that touch its two or three points, so its
+    value is the max of the largest untouched pair, read off a list of the
+    current top pairs, and the new ratios of the moved points.  Each ratio
+    is the quotient a full evaluation forms (``DX`` and ``DY`` are exactly
+    symmetric, as ``cdist`` returns them) and max is exact, so a score
+    equals the moved pairing's objective bit for bit."""
     n = len(perm)
     perm = perm.copy()
-    val = _objective(DX, DY, perm, symmetric)
+    iu = _pairs(n)
+    # a move touches at most 3n - 6 pairs, so one of the top 3n avoids it
+    top = min(3 * n, len(iu[0]))
+
+    def ratios(dy, dx):
+        r = dy / dx
+        return np.maximum(r, dx / dy) if symmetric else r
+
+    def rank():
+        nonlocal top_val, top_a, top_b, dy_cols
+        vals = ratios(DY[np.ix_(perm, perm)][iu], DX[iu])
+        order = np.argsort(vals)[::-1][:top]
+        top_val, top_a, top_b = vals[order], iu[0][order], iu[1][order]
+        dy_cols = DY[:, perm]
+
+    def score(moved, source):
+        count, size = moved.shape
+        rows = np.arange(count)
+        new = perm[source]
+        outside = np.ones((count, n), dtype=bool)
+        outside[rows[:, None], moved] = False
+        avoid = outside[:, top_a] & outside[:, top_b]
+        first = avoid.argmax(axis=1)
+        # every ratio is positive, so 0 stands for "no pair"
+        best = np.where(avoid[rows, first], top_val[first], 0.0)
+        # the moved points against all others; pairs inside the move are
+        # masked here (this touches the zero diagonal) and scored below
+        with np.errstate(divide="ignore"):
+            r = ratios(dy_cols[new], DX[moved])
+        best = np.maximum(best, np.where(outside[:, None, :], r, 0.0).max(axis=(1, 2)))
+        for u, v in itertools.combinations(range(size), 2):
+            best = np.maximum(best, ratios(DY[new[:, u], new[:, v]],
+                                           DX[moved[:, u], moved[:, v]]))
+        return best
+
+    def descend(moved, source):
+        """One pass over the moves in order; True when one was taken."""
+        nonlocal val
+        taken = False
+        start, block = 0, 1
+        cap = max(1, _BLOCK_RATIOS // (moved.shape[1] * n))
+        while start < len(moved):
+            block = min(block, cap)
+            scores = score(moved[start:start + block], source[start:start + block])
+            hit = np.flatnonzero(scores < val)
+            if hit.size == 0:
+                start += block
+                block *= 2
+                continue
+            c = start + hit[0]
+            perm[moved[c]] = perm[source[c]]
+            val = float(scores[hit[0]])
+            rank()
+            taken = True
+            start, block = c + 1, 1
+        return taken
+
+    top_val = top_a = top_b = dy_cols = None
+    rank()
+    val = float(top_val[0])
+    swaps = np.column_stack(iu)
     improved = True
     while improved:
-        improved = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                perm[i], perm[j] = perm[j], perm[i]
-                cand = _objective(DX, DY, perm, symmetric)
-                if cand < val:
-                    val = cand
-                    improved = True
-                else:
-                    perm[i], perm[j] = perm[j], perm[i]
+        improved = descend(swaps, swaps[:, ::-1])
         if three_cycles:
-            for i, j, k in itertools.combinations(range(n), 3):
-                for rot in ((j, k, i), (k, i, j)):
-                    saved = (perm[i], perm[j], perm[k])
-                    perm[i], perm[j], perm[k] = (perm[rot[0]], perm[rot[1]],
-                                                 perm[rot[2]])
-                    # rotation indices refer to pre-move values
-                    cand = _objective(DX, DY, perm, symmetric)
-                    if cand < val:
-                        val = cand
-                        improved = True
-                    else:
-                        perm[i], perm[j], perm[k] = saved
+            improved |= descend(*_three_cycles(n))
     return val, perm
 
 

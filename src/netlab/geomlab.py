@@ -69,6 +69,8 @@ class RadialBump:
         self.center = np.asarray(center, dtype=float)
         self.amp = float(amp)
         self.width = float(width)
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise DomainError(f"bump width must be positive and finite, got {width}")
         self.d = len(self.center)
         self.domain = domain
 
@@ -393,6 +395,8 @@ def image_volume(h, box, mode: str = "auto", budget: int = 200_000,
     """
     if mode not in ("auto", "grid", "monte_carlo"):
         raise ConfigurationError(f"unknown mode {mode!r}")
+    if budget < 1:
+        raise DomainError(f"budget must be at least 1, got {budget}")
     exact = h.volume_factor() if hasattr(h, "volume_factor") else None
     if mode == "auto":
         if exact is not None:

@@ -97,12 +97,18 @@ class TestExitCodes:
          "identity", "--c", "1", "--n", "0", "--eps", "0.5", "--d", "2"],
         ["volume-check", "--map", "affine:2:1.2,0.3,-0.1,0.9", "--modulus",
          "identity", "--c", "1", "--n", "4", "--eps", "0.5", "--d", "0"],
+        ["symdiff", "--f", "radial-bump:0.5,0.5,0.1,0", "--g", "identity:2",
+         "--resolution", "16"],
+        ["volume-check", "--map", "radial-bump:1.5,0.5,0.1,2.0", "--modulus",
+         "identity", "--c", "1", "--n", "4", "--slab", "1", "--eps", "0.5",
+         "--d", "2", "--budget", "0"],
     ], ids=["holder-no-value", "logpow-no-value", "scaled-no-value",
             "stretch-fills-window", "net-build-side-0", "net-build-side-neg",
             "net-discrepancy-side-0", "delta-div-0", "families-c-0",
             "families-d-0", "rho-zero-denominator", "c-zero-denominator",
             "xi-zero-denominator", "dichotomy-n-0", "dichotomy-m-0",
-            "b1-max-iters-0", "volume-n-0", "volume-d-0"])
+            "b1-max-iters-0", "volume-n-0", "volume-d-0", "bump-width-0",
+            "volume-budget-0"])
     def test_bad_flag_value_exits_two_without_traceback(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from netlab.errors import BudgetError, DomainError, InjectivityError
 from netlab.density import ConstantDensity
 from netlab.distortion import (
+    _distances,
+    _local_search,
     Bijection,
     bilip,
     displacement,
@@ -19,6 +23,10 @@ from netlab.distortion import (
     min_lip_exact,
     regular_grid,
 )
+
+# the batched move scoring divides on the zero diagonal before masking it;
+# a warning that escapes it fails the suite
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def enumerate_min_bilip(X, Y):
@@ -48,6 +56,51 @@ def enumerate_min_lip(X, Y):
                 worst = max(worst, dy / dx)
         best = min(best, worst)
     return best
+
+
+def _objective(DX, DY, perm, symmetric):
+    """Largest pair ratio |f(x)-f(y)| / |x-y| of the pairing ``perm``, and
+    with ``symmetric`` also the inverse ratios (the bilipschitz constant)."""
+    iu = np.triu_indices(len(perm), k=1)
+    dyp = DY[np.ix_(perm, perm)][iu]
+    dx = DX[iu]
+    if symmetric:
+        return float(max((dyp / dx).max(), (dx / dyp).max()))
+    return float((dyp / dx).max())
+
+
+def reference_local_search(DX, DY, symmetric, perm, three_cycles):
+    """The local search as a plain loop that re-evaluates the whole
+    objective after every move: the oracle for the batched one."""
+    n = len(perm)
+    perm = perm.copy()
+    val = _objective(DX, DY, perm, symmetric)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                perm[i], perm[j] = perm[j], perm[i]
+                cand = _objective(DX, DY, perm, symmetric)
+                if cand < val:
+                    val = cand
+                    improved = True
+                else:
+                    perm[i], perm[j] = perm[j], perm[i]
+        if three_cycles:
+            for i, j, k in itertools.combinations(range(n), 3):
+                for rot in ((j, k, i), (k, i, j)):
+                    saved = (perm[i], perm[j], perm[k])
+                    perm[i], perm[j], perm[k] = (perm[rot[0]], perm[rot[1]],
+                                                 perm[rot[2]])
+                    # rotation indices refer to pre-move values
+                    cand = _objective(DX, DY, perm, symmetric)
+                    if cand < val:
+                        val = cand
+                        improved = True
+                    else:
+                        perm[i], perm[j], perm[k] = saved
+    return val, perm
 
 
 def random_instance(seed, n, d=2, spread=10):
@@ -184,7 +237,8 @@ class TestExactSearch:
 class TestPinnedResults:
     """Values of the two exact searches on fixed instances, recorded from the
     separate bilipschitz and Lipschitz branch and bounds that the shared
-    engine replaced; results, tie-breaks and node counts must not move."""
+    engine replaced, and of the heuristic, recorded from the plain-loop
+    local search; results, tie-breaks and node counts must not move."""
 
     @pytest.mark.parametrize("seed, n, node_limit, bilip, perm, nodes, method", [
         (101, 5, 5_000_000, 3.0, [4, 3, 1, 2, 0], 289, "exact"),
@@ -207,6 +261,57 @@ class TestPinnedResults:
         X, Y = random_instance(seed, n)
         val, got, done = min_lip_exact(X, Y, node_limit=node_limit)
         assert (val, got.tolist(), done) == (value, perm, exhausted)
+
+    @pytest.mark.parametrize("seed, n, bilip, perm", [
+        (24, 24, 5.0990195135927845,
+         [1, 10, 16, 21, 0, 4, 3, 2, 8, 7, 18, 12, 11, 20, 9, 23, 22, 17, 6, 14, 5, 13,
+          15, 19]),
+        (30, 30, 5.0990195135927845,
+         [0, 5, 12, 22, 1, 21, 24, 19, 3, 11, 27, 20, 2, 8, 14, 26, 15, 29, 13, 7, 4, 6,
+          10, 16, 25, 23, 9, 17, 28, 18]),
+        (36, 36, 4.47213595499958,
+         [25, 10, 12, 18, 27, 13, 29, 17, 32, 4, 0, 11, 14, 9, 6, 34, 21, 15, 3, 31, 7, 5,
+          24, 23, 8, 26, 30, 1, 22, 16, 33, 35, 20, 19, 28, 2]),
+    ])
+    def test_min_bilip_heuristic(self, seed, n, bilip, perm):
+        X, Y = random_instance(seed, n, spread=16)
+        rep = min_bilip_heuristic(X, Y, seed=0, restarts=2)
+        assert (rep.bilip, rep.perm.tolist()) == (bilip, perm)
+
+
+class TestLocalSearchOracle:
+    """The batched local search takes the same moves in the same order as
+    the plain loop, so value and pairing match it exactly."""
+
+    @pytest.mark.parametrize("n", [*range(3, 13), 16, 20, 26, 33, 40])
+    def test_matches_reference_loop(self, n):
+        X, Y = random_instance(700 + n, n, spread=20)
+        _, _, DX, DY = _distances(X, Y)
+        starts = [linear_sum_assignment(cdist(X, Y) ** 2)[1],
+                  np.random.default_rng(n).permutation(n)]
+        # the reference loop's 3-cycle sweep is O(n^5); keep it to small n
+        for three_cycles in ((True, False) if n <= 20 else (False,)):
+            for symmetric in (True, False):
+                for perm in starts:
+                    want = reference_local_search(DX, DY, symmetric, perm, three_cycles)
+                    got = _local_search(DX, DY, symmetric, perm, three_cycles)
+                    assert (got[0], got[1].tolist()) == (want[0], want[1].tolist())
+
+    def test_matches_reference_loop_past_the_worst_pairs(self):
+        # two corners and a neighbour start with rotated targets, so the
+        # worst pairs all touch them and a move's largest untouched pair
+        # sits deep in the search's list of top pairs
+        X = np.array(list(itertools.product(range(5), repeat=2)), dtype=float)
+        Y = X.copy()
+        Y[12] += 0.3
+        _, _, DX, DY = _distances(X, Y)
+        perm = np.arange(25)
+        perm[[24, 0, 1]] = perm[[0, 1, 24]]
+        for three_cycles in (True, False):
+            for symmetric in (True, False):
+                want = reference_local_search(DX, DY, symmetric, perm, three_cycles)
+                got = _local_search(DX, DY, symmetric, perm, three_cycles)
+                assert (got[0], got[1].tolist()) == (want[0], want[1].tolist())
 
 
 class TestInputChecks:

@@ -44,6 +44,9 @@ class AffineMap:
     def invert(self, y):
         return (np.atleast_2d(y) - self.b) @ self._Ainv.T
 
+    def preimage_in(self, y, box):
+        return _in_box(self.invert(y), box)
+
     def volume_factor(self):
         return abs(float(np.linalg.det(self.A)))
 
@@ -58,10 +61,22 @@ def shear_map(s, d=2, domain=None) -> AffineMap:
     return AffineMap(A, domain=domain)
 
 
+def _in_box(points, box):
+    """Rows of ``points`` inside the closed box."""
+    inside = np.ones(len(points), dtype=bool)
+    for k, (lo, hi) in enumerate(box):
+        inside &= (points[:, k] >= lo) & (points[:, k] <= hi)
+    return inside
+
+
+_BISECT_STEPS = 100
+
+
 class RadialBump:
-    """x -> x + amp * exp(-|x-c|^2/w^2) (x - c): a smooth radial push,
-    injective for moderate amplitudes (|amp| < e^{3/2}/2 suffices 1-d
-    radially; the sample-grid check guards the rest)."""
+    """x -> x + amp * exp(-|x-c|^2/w^2) (x - c): a smooth radial push.
+
+    The radial profile r (1 + amp e^{-r^2/w^2}) is strictly increasing, so
+    the map is a homeomorphism, exactly when -1 < amp < e^{3/2}/2."""
 
     kind = "radial-bump"
 
@@ -71,6 +86,11 @@ class RadialBump:
         self.width = float(width)
         if not (math.isfinite(self.width) and self.width > 0):
             raise DomainError(f"bump width must be positive and finite, got {width}")
+        if not -1.0 < self.amp < math.exp(1.5) / 2:
+            raise DomainError(
+                f"bump amplitude must lie in (-1, e^1.5/2) for injectivity, got {amp}")
+        if not np.all(np.isfinite(self.center)):
+            raise DomainError(f"bump centre must be finite, got {center}")
         self.d = len(self.center)
         self.domain = domain
 
@@ -84,26 +104,86 @@ class RadialBump:
         factor = 1.0 + self.amp * np.exp(-(r / self.width) ** 2)
         return self.center + v * factor[:, None]
 
-    def invert(self, y):
-        y = np.atleast_2d(y)
-        v = y - self.center
-        s = np.linalg.norm(v, axis=1)
+    def _bisect(self, y, settle):
+        """Bisect profile(r) = |y - centre| for every row of y: at most 100
+        halvings of [0, |y - centre| / min(1, 1 + amp) + width], whose upper
+        end first doubles until it clears the root.
+
+        After each step ``settle(lo, hi, idx, unit)`` gets the brackets of
+        the rows idx still in the loop and their unit directions from the
+        centre (one array per axis, 0 at the centre), and returns a mask of
+        the rows it is done with; they leave the loop.  A bracket no later
+        step can move comes collapsed to lo == hi == (lo + hi) / 2, the
+        radius the 100 steps end on, and settle must take it.  That is every
+        bracket after the last step, and one whose midpoint met an end: the
+        step is deterministic, so it would repeat itself from then on.
+        """
+        unit = np.atleast_2d(y) - self.center
+        s = np.linalg.norm(unit, axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unit /= np.maximum(s, 1e-300)[:, None]
+        unit[~(s > 0)] = 0.0
+        unit = list(unit.T)
         lo = np.zeros_like(s)
-        shrink = min(1.0, 1.0 + self.amp)
-        if shrink <= 0:
-            raise DomainError("bump amplitude below -1 is not injective")
-        hi = s / shrink + self.width
+        hi = s / min(1.0, 1.0 + self.amp) + self.width
         while np.any(self._profile(hi) < s):
             hi = np.where(self._profile(hi) < s, hi * 2, hi)
-        for _ in range(100):
+        idx = np.arange(len(s))
+        for step in range(1, _BISECT_STEPS + 1):
             mid = 0.5 * (lo + hi)
+            fixed = (mid == lo) | (mid == hi) | (step == _BISECT_STEPS)
             below = self._profile(mid) < s
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        r = 0.5 * (lo + hi)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(s[:, None] > 0, v / np.maximum(s, 1e-300)[:, None], 0.0)
-        return self.center + unit * r[:, None]
+            np.copyto(lo, mid, where=below)
+            np.copyto(hi, mid, where=~below)
+            if fixed.any():
+                lo[fixed] = hi[fixed] = 0.5 * (lo[fixed] + hi[fixed])
+            keep = ~settle(lo, hi, idx, unit)
+            if not keep.any():
+                return
+            if not keep.all():
+                # one array at a time, so each old copy goes as its new one comes
+                lo = lo[keep]
+                hi = hi[keep]
+                s = s[keep]
+                idx = idx[keep]
+                unit = [u[keep] for u in unit]
+
+    def invert(self, y):
+        x = np.full((len(np.atleast_2d(y)), self.d), np.nan)  # NaN rows never settle
+
+        def settle(lo, hi, idx, unit):
+            done = lo == hi
+            for k, u in enumerate(unit):
+                x[idx[done], k] = self.center[k] + u[done] * lo[done]
+            return done
+
+        self._bisect(y, settle)
+        return x
+
+    def preimage_in(self, y, box):
+        """_in_box(invert(y), box), decided from the radius bracket.
+
+        Each coordinate centre + unit * r of the preimage is monotone in r
+        under rounding, and the final radius lies in every bracket, so a
+        row leaves as soon as both ends of its bracket land inside the box,
+        or on one outside side of it along some axis.
+        """
+        inside = np.zeros(len(np.atleast_2d(y)), dtype=bool)
+
+        def settle(lo, hi, idx, unit):
+            is_in = np.ones(len(idx), dtype=bool)
+            is_out = np.zeros(len(idx), dtype=bool)
+            for c, u, (blo, bhi) in zip(self.center, unit, box):
+                a = c + u * lo
+                b = c + u * hi
+                is_in &= (a >= blo) & (a <= bhi) & (b >= blo) & (b <= bhi)
+                is_out |= ((a < blo) & (b < blo)) | ((a > bhi) & (b > bhi))
+            done = is_in | is_out
+            inside[idx[done]] = is_in[done]
+            return done
+
+        self._bisect(y, settle)
+        return inside
 
     def volume_factor(self):
         return None
@@ -147,6 +227,9 @@ class PiecewiseStretch:
         y = np.atleast_2d(y).copy()
         y[:, 0] = self._inverse_1d(y[:, 0])
         return y
+
+    def preimage_in(self, y, box):
+        return _in_box(self.invert(y), box)
 
     def volume_factor(self):
         return None
@@ -391,7 +474,9 @@ def image_volume(h, box, mode: str = "auto", budget: int = 200_000,
     the bracket [lower, upper] is a Jordan-style bound up to the sampling
     slack folded into the band width.
     monte_carlo: preimage membership test on bounding-box samples with a
-    95 percent binomial interval.
+    95 percent binomial interval.  The radial bump decides each sample's
+    membership from its radius bracket as soon as the bracket settles it,
+    with the same answer as the box test of its full inverse.
     """
     if mode not in ("auto", "grid", "monte_carlo"):
         raise ConfigurationError(f"unknown mode {mode!r}")
@@ -433,16 +518,12 @@ def image_volume(h, box, mode: str = "auto", budget: int = 200_000,
         value = int(cover.sum()) * vol_cell
         return VolumeEstimate(value=value, lower=lower, upper=upper, mode="grid")
 
-    if not hasattr(h, "invert"):
+    if not hasattr(h, "preimage_in"):
         raise ConfigurationError("map exposes no inverse; use grid mode")
     rng = np.random.default_rng(seed)
     samples = rng.uniform([lo for lo, _ in bbox], [hi for _, hi in bbox],
                           size=(budget, d))
-    inv = h.invert(samples)
-    inside = np.ones(budget, dtype=bool)
-    for k, (lo, hi) in enumerate(box):
-        inside &= (inv[:, k] >= lo) & (inv[:, k] <= hi)
-    p_hat = inside.mean()
+    p_hat = h.preimage_in(samples, box).mean()
     vb = _box_volume(bbox)
     half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / budget)
     return VolumeEstimate(value=p_hat * vb, lower=(p_hat - half) * vb,

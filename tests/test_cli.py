@@ -102,13 +102,17 @@ class TestExitCodes:
         ["volume-check", "--map", "radial-bump:1.5,0.5,0.1,2.0", "--modulus",
          "identity", "--c", "1", "--n", "4", "--slab", "1", "--eps", "0.5",
          "--d", "2", "--budget", "0"],
+        ["symdiff", "--f", "radial-bump:0.5,0.5,3,0.5", "--g", "identity:2",
+         "--resolution", "16"],
+        ["boundary-measure", "--map", "radial-bump:0.5,0.5,-3,0.5",
+         "--eps-list", "0.1", "--resolution", "32"],
     ], ids=["holder-no-value", "logpow-no-value", "scaled-no-value",
             "stretch-fills-window", "net-build-side-0", "net-build-side-neg",
             "net-discrepancy-side-0", "delta-div-0", "families-c-0",
             "families-d-0", "rho-zero-denominator", "c-zero-denominator",
             "xi-zero-denominator", "dichotomy-n-0", "dichotomy-m-0",
             "b1-max-iters-0", "volume-n-0", "volume-d-0", "bump-width-0",
-            "volume-budget-0"])
+            "volume-budget-0", "bump-amp-above-range", "bump-amp-below-range"])
     def test_bad_flag_value_exits_two_without_traceback(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -259,7 +263,11 @@ class TestReadmeRasterCommands:
         ["volume-check", "--mode", "grid", "--map", "radial-bump:1.5,0.5,0.1,2.0",
          "--modulus", "identity", "--c", "1", "--n", "4", "--slab", "1",
          "--eps", "0.5", "--d", "2"],
-    ], ids=["symdiff", "boundary-measure", "b1-trace", "volume-check-grid"])
+        ["volume-check", "--mode", "monte_carlo", "--map",
+         "radial-bump:1.5,0.5,0.1,2.0", "--modulus", "identity", "--c", "1",
+         "--n", "4", "--slab", "1", "--eps", "0.5", "--d", "2"],
+    ], ids=["symdiff", "boundary-measure", "b1-trace", "volume-check-grid",
+            "volume-check-monte-carlo"])
     def test_runs_clean_and_reruns_byte_identical(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 0, err

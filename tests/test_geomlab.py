@@ -30,6 +30,8 @@ from netlab.geomlab import (
 
 M_ID = identity()
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestMaps:
     def test_affine_roundtrip(self):
@@ -45,6 +47,21 @@ class TestMaps:
         bump = RadialBump([0.3, 0.3], 0.2, 1.5)
         pts = np.random.default_rng(1).uniform(-1, 1, size=(50, 2))
         assert np.allclose(bump.invert(bump(pts)), pts, atol=1e-9)
+
+    @pytest.mark.parametrize("centre, amp", [
+        ([0.5, 0.5], -1.0), ([0.5, 0.5], -3.0), ([0.5, 0.5], math.exp(1.5) / 2),
+        ([0.5, 0.5], 3.0), ([0.5, 0.5], math.nan), ([0.5, 0.5], math.inf),
+        ([0.5, math.inf], 0.1), ([math.nan, 0.5], 0.1)])
+    def test_radial_bump_rejects_non_injective_or_non_finite(self, centre, amp):
+        with pytest.raises(DomainError):
+            RadialBump(centre, amp, 0.5)
+
+    def test_amplitude_range_is_where_the_profile_increases(self):
+        # r (1 + a e^{-r^2}) turns back near r^2 = 3/2 once a > e^{3/2}/2
+        r = np.linspace(0.0, 3.0, 30_001)
+        top = math.exp(1.5) / 2
+        assert np.all(np.diff(RadialBump([0.0], 0.999 * top, 1.0)._profile(r)) > 0)
+        assert np.any(np.diff(r * (1 + 1.01 * top * np.exp(-r ** 2))) < 0)
 
     def test_piecewise_stretch_roundtrip_and_endpoints(self):
         h = two_region_stretch(1.0, 0.3, 0.2, 1.5)
@@ -285,6 +302,85 @@ class TestRasterOracle:
         assert rep == _oracle_symdiff(f, g, 64)
 
 
+# ---------------------------------------------------------------------------
+# inverse oracle: the radial bump's fixed 100-step bisection
+# ---------------------------------------------------------------------------
+
+def reference_invert(self, y):
+    y = np.atleast_2d(y)
+    v = y - self.center
+    s = np.linalg.norm(v, axis=1)
+    lo = np.zeros_like(s)
+    shrink = min(1.0, 1.0 + self.amp)
+    if shrink <= 0:
+        raise DomainError("bump amplitude below -1 is not injective")
+    hi = s / shrink + self.width
+    while np.any(self._profile(hi) < s):
+        hi = np.where(self._profile(hi) < s, hi * 2, hi)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        below = self._profile(mid) < s
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    r = 0.5 * (lo + hi)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(s[:, None] > 0, v / np.maximum(s, 1e-300)[:, None], 0.0)
+    return self.center + unit * r[:, None]
+
+
+def _reference_in_box(y, bump, box):
+    inv = reference_invert(bump, y)
+    lo, hi = np.array(box).T
+    return np.all((inv >= lo) & (inv <= hi), axis=1)
+
+
+class TestInverseOracle:
+    """``invert`` and ``preimage_in`` against the fixed 100-step bisection
+    and its box test, bit for bit."""
+
+    @staticmethod
+    def _case(d, amp):
+        rng = np.random.default_rng(100 * d + int(10 * amp))
+        bump = RadialBump(rng.uniform(0.3, 0.7, d), amp, rng.uniform(0.3, 1.5))
+        around = [(0.0, 1.0)] * d                     # holds the centre
+        aside = [(c + 0.05, c + 0.45) for c in bump.center]
+        return rng, bump, (around, aside)
+
+    @staticmethod
+    def _samples(rng, bump, box):
+        """Uniform samples over the image, the centre, and images of box
+        faces and corners nudged by one ulp each way: their preimages sit
+        within ulps of the boundary."""
+        faces = _boundary_points(box, 6)
+        img = bump(faces)
+        uniform = rng.uniform(img.min(axis=0) - 0.2, img.max(axis=0) + 0.2,
+                              size=(4000, len(box)))
+        return np.vstack([uniform, bump.center, img,
+                          bump(np.nextafter(faces, -np.inf)),
+                          bump(np.nextafter(faces, np.inf))])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("amp", [-0.6, 0.8, 2.2])
+    def test_invert_matches_reference(self, d, amp):
+        rng, bump, boxes = self._case(d, amp)
+        for box in boxes:
+            y = self._samples(rng, bump, box)
+            assert np.array_equal(bump.invert(y), reference_invert(bump, y))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("amp", [-0.6, 0.8, 2.2])
+    def test_preimage_in_matches_reference_box_test(self, d, amp):
+        rng, bump, (around, aside) = self._case(d, amp)
+        for box in (around, aside):
+            y = self._samples(rng, bump, box)
+            got = bump.preimage_in(y, box)
+            assert np.array_equal(got, _reference_in_box(y, bump, box))
+            assert 0 < got.sum() < len(y)
+        centre = bump.center[None, :]
+        assert bump.preimage_in(centre, around)[0]
+        assert not bump.preimage_in(centre, aside)[0]
+
+
 class TestVolumeDiff:
     def test_affine_zero_lhs(self):
         A = AffineMap([[1.2, 0.3], [-0.1, 0.9]])
@@ -305,6 +401,9 @@ class TestVolumeDiff:
         assert rep.hypothesis_ok
         assert rep.passed
         assert rep.lhs <= rep.rhs + rep.lhs_error
+        # the values of the fixed 100-step inverse and its box test
+        assert (rep.lhs, rep.rhs, rep.lhs_error) == (
+            0.0020751141663460787, 0.25, 0.0001525836726110688)
 
     def test_hypothesis_violation_is_not_failure(self):
         # a harsh stretch with a tiny eps: slab 1 fails the hypothesis

@@ -135,7 +135,7 @@ def schedule_from_trace(trace, levels: int) -> FamilySchedule:
 
 
 def build_nested_families(schedule: FamilySchedule, d: int, levels: int,
-                          offsets: str = "zero", origin=None,
+                          offsets: str = "zero",
                           seed: int | None = None) -> list[TiledFamily]:
     """The nested row families: level i is a row of N_i cubes of sidelength
     c_i/N_i spanning [0, c_i] x [0, c_i/N_i]^{d-1}, translated by the
@@ -157,12 +157,9 @@ def build_nested_families(schedule: FamilySchedule, d: int, levels: int,
         if N < 2 or M < 1:
             raise ConfigurationError("schedule needs N >= 2 and M >= 1 at every level")
     rng = random.Random(seed)
-    if origin is None:
-        origin = [Fraction(0)] * d
-    origin = [Fraction(x) for x in origin]
 
     families = []
-    acc = list(origin)  # accumulated offset, exact
+    acc = [Fraction(0)] * d  # accumulated offset, exact
     c_i = schedule.c
     for i in range(1, levels + 1):
         N, M = schedule.counts[i - 1]

@@ -202,6 +202,10 @@ def _branch_and_bound(DX, DY, symmetric, best, best_perm, node_limit):
 # (moves x moved points x points), which bounds a block's memory at any n.
 _BLOCK_RATIOS = 1 << 16
 
+_EXACT_THRESHOLD = 10   # min_bilip_exact refuses more points than this
+_THREE_CYCLE_MAX = 40   # the heuristic scans 3-cycles up to this many points
+_EXACT_POINT_CAP = 12   # feige_ls searches exactly up to this many points
+
 
 @functools.lru_cache(maxsize=None)
 def _three_cycles(n):
@@ -309,8 +313,7 @@ def _local_search(DX, DY, symmetric, perm, three_cycles):
 # exact search
 # ---------------------------------------------------------------------------
 
-def min_bilip_exact(X, Y, node_limit: int = 5_000_000,
-                    exact_threshold: int = 10) -> DistortionReport:
+def min_bilip_exact(X, Y, node_limit: int = 5_000_000) -> DistortionReport:
     """Global minimum of the bilipschitz constant over all pairings, by
     branch and bound on partial assignments seeded with the heuristic's
     pairing.  If the node budget runs out the incumbent is returned as an
@@ -318,8 +321,8 @@ def min_bilip_exact(X, Y, node_limit: int = 5_000_000,
     """
     X, Y, DX, DY = _distances(X, Y)
     n = len(X)
-    if n > exact_threshold:
-        raise BudgetError(f"{n} points above the exact threshold {exact_threshold}")
+    if n > _EXACT_THRESHOLD:
+        raise BudgetError(f"{n} points above the exact threshold {_EXACT_THRESHOLD}")
 
     # a heuristic incumbent seeds the pruning; exactness is unaffected
     seed_rep = min_bilip_heuristic(X, Y, seed=0, restarts=1)
@@ -338,14 +341,13 @@ def min_bilip_exact(X, Y, node_limit: int = 5_000_000,
 # heuristic search
 # ---------------------------------------------------------------------------
 
-def min_bilip_heuristic(X, Y, seed: int = 0, restarts: int = 8,
-                        three_cycle_max: int = 40) -> DistortionReport:
+def min_bilip_heuristic(X, Y, seed: int = 0, restarts: int = 8) -> DistortionReport:
     """Minimum-cost assignment on squared distances, improved by 2-swap and
     3-cycle moves on the bilipschitz objective until local optimality.
 
     Reports the best value found (an upper bound) together with the trivial
     lower bound from diameter and separation ratios in both directions.
-    3-cycle moves are scanned only up to ``three_cycle_max`` points (the
+    3-cycle moves are scanned only up to ``_THREE_CYCLE_MAX`` points (the
     neighbourhood grows cubically); local optimality refers to the scanned
     neighbourhood.
     """
@@ -362,7 +364,7 @@ def min_bilip_heuristic(X, Y, seed: int = 0, restarts: int = 8,
 
     best_perm, best_val = None, math.inf
     for perm in starts:
-        val, perm = _local_search(DX, DY, True, perm, n <= three_cycle_max)
+        val, perm = _local_search(DX, DY, True, perm, n <= _THREE_CYCLE_MAX)
         if val < best_val:
             best_val, best_perm = val, perm
 
@@ -391,16 +393,16 @@ def min_lip_exact(X, Y, node_limit: int = 20_000_000) -> tuple[float, np.ndarray
     return best, best_perm, exhausted
 
 
-def feige_ls(S, n: int, d: int, exact_point_cap: int = 12) -> float:
+def feige_ls(S, n: int, d: int) -> float:
     """Best Lipschitz constant of a bijection from S onto {1,...,n}^d:
-    exact for |S| <= exact_point_cap, heuristic upper bound beyond."""
+    exact for |S| <= _EXACT_POINT_CAP, heuristic upper bound beyond."""
     S = _as_points(S)
     if len(S) != n ** d:
         raise DomainError(f"|S| = {len(S)} but n^d = {n ** d}")
     if not np.array_equal(S, np.round(S)):
         raise DomainError("S must consist of integer lattice points")
     grid = regular_grid(n, d)
-    if len(S) <= exact_point_cap:
+    if len(S) <= _EXACT_POINT_CAP:
         val, _, exhausted = min_lip_exact(S, grid)
         if exhausted:
             return val

@@ -70,6 +70,7 @@ def _in_box(points, box):
 
 
 _BISECT_STEPS = 100
+_B1_GRID_CHECK = 9  # samples per axis of algorithm B1's modulus bound check
 
 
 class RadialBump:
@@ -292,16 +293,16 @@ class Statement1Report:
     eps: float
 
 
-def check_statement1(h, c, N, eps, m: Modulus, test_grid: int = 5, d: int = 1,
-                     slack: float = 0.0) -> Statement1Report:
+def check_statement1(h, c, N, eps, m: Modulus, test_grid: int = 5,
+                     d: int = 1) -> Statement1Report:
     """Grid test of the near-translation inequality on every slab: slab i
     joins Omega iff the residual
     |h(x + (c/N) e1) - h(x) - (h(c e1) - h(0))/N| stays below
-    eps * omega(c/N) (+ slack) at every test point."""
+    eps * omega(c/N) at every test point."""
     if N < 1 or d < 1:
         raise DomainError(f"need N >= 1 and d >= 1, got N={N}, d={d}")
     lam = c / N
-    threshold = eps * m.eval(lam) + slack
+    threshold = eps * m.eval(lam)
     e1 = np.zeros(d)
     e1[0] = lam
     base = (h(np.full((1, d), 0.0) + _unit(d, c)) - h(np.zeros((1, d)))) / N
@@ -388,30 +389,21 @@ class B1Trace:
     modulus_bound_ok: bool # biL_omega(h) <= 1 on the sample grid
 
 
-def run_algorithm_b1(h, d, m: Modulus, eps, c, max_iters: int = 8,
-                     schedule=None, test_grid: int = 5,
-                     grid_check: int = 9) -> B1Trace:
+def run_algorithm_b1(h, d, m: Modulus, eps, c, max_iters: int = 8) -> B1Trace:
     """Iterate the dichotomy: stop with branch 1 when the near-translation
     statement holds, otherwise recentre at the located stretch point, shrink
-    to the next level and repeat.
-
-    ``schedule`` is an optional list of (N_i, M_i); by default the honest
-    parameter recursion supplies it (desk-feasible for d = 1).
+    to the next level and repeat.  The parameter recursion supplies the
+    (N_i, M_i) of each level (desk-feasible for d = 1).
     """
-    from .params import param_sequence, phi as phi_of
+    from .params import param_sequence
 
     if max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
-    if schedule is None:
-        trace = param_sequence(d, m, eps, c, max_iters)
-        schedule = [(rec.N, rec.M) for rec in trace.levels]
-        ph = trace.phi
-    else:
-        ph = phi_of(d, m, eps)
+    trace = param_sequence(d, m, eps, c, max_iters)
 
     # modulus bound check on a sample grid of the initial domain
-    box0 = [(0.0, c)] + [(0.0, c / schedule[0][0])] * (d - 1)
-    pts = _grid_points(box0, grid_check)
+    box0 = [(0.0, c)] + [(0.0, c / trace.levels[0].N)] * (d - 1)
+    pts = _grid_points(box0, _B1_GRID_CHECK)
     fm = FiniteMap(pts, h(pts))
     bil = bi_l_omega(fm, m)
     bound_ok = bil <= 1.0 + 1e-9
@@ -420,21 +412,19 @@ def run_algorithm_b1(h, d, m: Modulus, eps, c, max_iters: int = 8,
     shift = np.zeros(d)
     c_i = float(c)
     steps = []
-    for i in range(1, max_iters + 1):
-        if i > len(schedule):
-            raise ConfigurationError(f"schedule exhausted at iteration {i}")
-        N_i, M_i = schedule[i - 1]
+    for rec in trace.levels:
+        i, N_i, M_i = rec.i, rec.N, rec.M
 
         def g(x, _shift=shift.copy()):
             return h(np.atleast_2d(x) + _shift)
 
-        rep1 = check_statement1(g, c_i, N_i, eps, m, test_grid=test_grid, d=d)
+        rep1 = check_statement1(g, c_i, N_i, eps, m, d=d)
         if rep1.holds:
             steps.append(B1Step(i=i, c_i=c_i, N_i=N_i, M_i=M_i,
                                 statement1=rep1, z_next=None))
             return B1Trace(p=i, branch=1, offsets=offsets, steps=steps,
                            bi_l_omega=bil, modulus_bound_ok=bound_ok)
-        rep2 = check_statement2(g, c_i, N_i, M_i, ph, d=d)
+        rep2 = check_statement2(g, c_i, N_i, M_i, trace.phi, d=d)
         if rep2.z is None:
             raise ReliabilityError(
                 f"iteration {i}: statement 1 failed but no stretch point was "

@@ -14,14 +14,17 @@ constraint ("void" pairs) and are skipped by the constant computations.
 
 All functions also exist in log-argument form (``eval_log``/``inverse_log``)
 so that quantities far below the float underflow threshold can be handled;
-the parameter recursions need values like exp(-1e5).
+the parameter recursions need values like exp(-1e5).  They take a number
+context, ``math`` (the float level scan) or ``mpmath.mp`` (the far model).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 
 from .errors import DomainError, InjectivityError, RangeError
@@ -30,6 +33,13 @@ _BISECT_MAX_ITER = 200
 _BISECT_REL_TOL = 1e-12
 
 E_INV_SQ = math.exp(-2.0)
+
+
+@lru_cache(maxsize=None)
+def _log_linear_mpf(m, prec):
+    """m's (log Lam, alpha) as mpf, converted once per working precision."""
+    form = m._log_linear_form()
+    return None if form is None else (mpmath.mpf(form[0]), mpmath.mpf(form[1]))
 
 
 @dataclass(frozen=True)
@@ -82,30 +92,26 @@ class Modulus:
             return t * math.log(1.0 / t) ** self.alpha
         return self.L * self.inner._eval_unchecked(t)
 
-    def eval_log(self, log_t: float) -> float:
-        """log(omega(t)) given log(t); works for arbitrarily small t."""
+    def eval_log(self, log_t, ctx=math):
+        """log(omega(t)) given log(t); works for arbitrarily small t.  ``ctx``
+        is the number context, ``math`` or ``mpmath.mp``."""
         if not (log_t < math.log(self.a_omega)):
             raise DomainError(f"log t={log_t} outside domain (log a = {math.log(self.a_omega)})")
-        return self._eval_log_unchecked(log_t)
+        return self._eval_log_unchecked(log_t, ctx)
 
-    def _eval_log_unchecked(self, log_t):
+    def _eval_log_unchecked(self, log_t, ctx=math):
         if self.kind == "identity":
             return log_t
         if self.kind == "holder":
             return self.alpha * log_t
         if self.kind == "logpow":
-            return log_t + self.alpha * math.log(-log_t)
-        return math.log(self.L) + self.inner._eval_log_unchecked(log_t)
+            return log_t + self.alpha * ctx.log(-log_t)
+        # log L stays the float log in every context
+        return math.log(self.L) + self.inner._eval_log_unchecked(log_t, ctx)
 
     def eval_limit(self) -> float:
         """sup of omega on its domain (the continuous extension at a_omega)."""
-        if self.kind == "identity":
-            return self.a_omega
-        if self.kind == "holder":
-            return self.a_omega ** self.alpha
-        if self.kind == "logpow":
-            return self.a_omega * math.log(1.0 / self.a_omega) ** self.alpha
-        return self.L * self.inner.eval_limit()
+        return self._eval_unchecked(self.a_omega)
 
     # -- inversion ----------------------------------------------------------
 
@@ -125,9 +131,6 @@ class Modulus:
             return y ** (1.0 / self.alpha)
         if self.kind == "scaled":
             return self.inner.inverse(y / self.L)
-        return self._bisect_inverse(y)
-
-    def _bisect_inverse(self, y):
         # omega(t) >= t on (0, a) gives the upper bracket t <= y.
         hi = min(y, self.a_omega * (1.0 - 1e-15))
         lo = hi * 0.5
@@ -135,26 +138,38 @@ class Modulus:
             lo *= 0.5
         if self._eval_unchecked(hi) < y:
             hi = self.a_omega * (1.0 - 1e-15)
-        for _ in range(_BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            if self._eval_unchecked(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _BISECT_REL_TOL * hi:
-                break
-        return 0.5 * (lo + hi)
+        return _bisect(self._eval_unchecked, y, lo, hi, lambda h: _BISECT_REL_TOL * h)
 
-    def inverse_log(self, log_y: float) -> float:
-        """log(omega^{-1}(y)) given log(y); log-space companion of inverse."""
+    def inverse_log(self, log_y, ctx=math):
+        """log(omega^{-1}(y)) given log(y); log-space companion of inverse.
+        Under ``math`` logpow bisects on log t; under ``mpmath.mp`` the
+        log-linear kinds (omega(t) = Lam t log(1/t)^alpha) take four Newton
+        steps at the working precision."""
         if not (log_y < math.log(self.eval_limit())):
             raise RangeError(f"log y={log_y} outside range")
+        return self._inverse_log_unchecked(log_y, ctx)
+
+    def _inverse_log_unchecked(self, log_y, ctx=math):
+        form = _log_linear_mpf(self, mpmath.mp.prec) if ctx is not math else None
+        if form is not None:
+            log_lam, alpha = form
+            if not alpha:
+                return log_y - log_lam
+            # unscaled logpow has log Lam = 0: adding it is exact, so skipped
+            z = log_y - log_lam if log_lam else log_y
+            z = z - alpha * ctx.log(-z)
+            for _ in range(4):
+                f = z + alpha * ctx.log(-z)
+                if log_lam:
+                    f = f + log_lam
+                z = z - (f - log_y) / (1 + alpha / z)
+            return z
         if self.kind == "identity":
             return log_y
         if self.kind == "holder":
             return log_y / self.alpha
         if self.kind == "scaled":
-            return self.inner.inverse_log(log_y - math.log(self.L))
+            return self.inner._inverse_log_unchecked(log_y - math.log(self.L), ctx)
         # bisection on log t; omega(t) >= t brackets the solution from above
         hi = min(log_y, math.log(self.a_omega) - 1e-15)
         if self._eval_log_unchecked(hi) < log_y:
@@ -162,21 +177,29 @@ class Modulus:
         lo = hi - 1.0
         while self._eval_log_unchecked(lo) > log_y:
             lo -= 2.0 * (hi - lo)
-        for _ in range(_BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            if self._eval_log_unchecked(mid) < log_y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-13 * max(1.0, abs(hi)):
-                break
-        return 0.5 * (lo + hi)
+        return _bisect(self._eval_log_unchecked, log_y, lo, hi,
+                       lambda h: 1e-13 * max(1.0, abs(h)))
+
+    def _log_linear_form(self) -> tuple[float, float] | None:
+        """(log Lam, alpha) when omega(t) = Lam * t * log(1/t)^alpha, else None."""
+        if self.kind == "scaled":
+            inner = self.inner._log_linear_form()
+            return None if inner is None else (math.log(self.L) + inner[0], inner[1])
+        return {"identity": (0.0, 0.0), "logpow": (0.0, self.alpha)}.get(self.kind)
 
 
-def _default_a_omega(kind, alpha):
-    if kind == "logpow":
-        return min(E_INV_SQ, math.exp(-alpha))
-    return 1.0
+def _bisect(f, y, lo, hi, tol):
+    """Midpoint of the bracket [lo, hi] of f(t) = y (f increasing) once it is
+    no wider than tol(hi), or after _BISECT_MAX_ITER halvings."""
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol(hi):
+            break
+    return 0.5 * (lo + hi)
 
 
 def identity(a_omega: float = 1.0) -> Modulus:
@@ -191,7 +214,7 @@ def logpow(alpha: float, a_omega: float | None = None) -> Modulus:
     """t * log(1/t)^alpha on (0, a); the default a satisfies both membership
     conditions (a <= 1/e^2 and log(1/t) >= alpha)."""
     if a_omega is None:
-        a_omega = _default_a_omega("logpow", alpha)
+        a_omega = min(E_INV_SQ, math.exp(-alpha))
     return Modulus(kind="logpow", alpha=alpha, a_omega=a_omega)
 
 

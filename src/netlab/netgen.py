@@ -116,13 +116,12 @@ class NetCubeResult:
         return [c.index for c in self.cells if c.n == 0]
 
 
-def construct_net_cube(rho, cube, m_k: int, rho_domain=None) -> NetCubeResult:
+def construct_net_cube(rho, cube, m_k: int) -> NetCubeResult:
     """One point at the centre of each subcell, n per axis, with n the
     integer part of the d-th root of the rescaled cell mass.
 
-    ``cube`` is ((lo, hi), ...) with rational entries; ``rho_domain`` is the
-    box the density lives on (unit cube by default) and gets mapped onto the
-    cube by the scalar affine change of variables.
+    ``cube`` is ((lo, hi), ...) with rational entries; the density lives on
+    the unit cube, which the scalar affine change of variables maps onto it.
     """
     if m_k < 1:
         raise DomainError("m_k must be >= 1")
@@ -134,12 +133,6 @@ def construct_net_cube(rho, cube, m_k: int, rho_domain=None) -> NetCubeResult:
             raise DomainError("net construction needs a cube")
     if side <= 0:
         raise DomainError(f"cube side must be positive, got {side}")
-    if rho_domain is None:
-        rho_domain = tuple((Fraction(0), Fraction(1)) for _ in range(d))
-    else:
-        rho_domain = tuple((Fraction(lo), Fraction(hi)) for lo, hi in rho_domain)
-    dom_side = rho_domain[0][1] - rho_domain[0][0]
-    scale = side / dom_side  # phi multiplies lengths by this
 
     cells, points = [], []
     cell_side = side / m_k
@@ -147,11 +140,11 @@ def construct_net_cube(rho, cube, m_k: int, rho_domain=None) -> NetCubeResult:
         cell = tuple(
             (cube[k][0] + index[k] * cell_side, cube[k][0] + (index[k] + 1) * cell_side)
             for k in range(d))
+        # phi multiplies lengths by side
         preimage = tuple(
-            ((cell[k][0] - cube[k][0]) / scale + rho_domain[k][0],
-             (cell[k][1] - cube[k][0]) / scale + rho_domain[k][0])
+            ((cell[k][0] - cube[k][0]) / side, (cell[k][1] - cube[k][0]) / side)
             for k in range(d))
-        mass = Fraction(rho.integral(preimage)) * scale ** d
+        mass = Fraction(rho.integral(preimage)) * side ** d
         n = _floor_dth_root(mass, d)
         cells.append(CellRecord(index=tuple(index), box=cell, mass=mass, n=n))
         if n > 0:

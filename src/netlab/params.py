@@ -16,6 +16,11 @@ scans levels exactly up to ``max_levels`` and, past that, certifies r
 against a high-precision continuum model of the same recursion (see
 ``_FarRegime``).  The model is validated against exact scans in overlapping
 regimes by the test suite.
+
+The dimension chain and the closed forms of N0, M and num-iter are written
+once against a number context, ``math`` for the scan and ``mpmath`` for the
+model, which only counts levels.  Each keeps its own rounding: the scan takes
+integer ceilings and M as a multiple of M_{j-1}, the model maxima of logs.
 """
 
 from __future__ import annotations
@@ -26,10 +31,21 @@ from functools import cached_property, lru_cache
 
 import mpmath as mp
 
-from .errors import DomainError, UnterminatedError
+from .errors import BudgetError, DomainError, UnterminatedError
 from .moduli import Modulus
 
 _SNAP = 1e-12  # relative snap applied before ceil to absorb float noise
+_MAX_INT_DIGITS = 10 ** 8  # cap on exact N_i, M_i; holder moduli gain 10x digits a level
+
+
+@lru_cache(maxsize=None)
+def _log_const_at(ctx, v, prec):
+    return ctx.log(v)
+
+
+def _log_const(ctx, v):
+    """ctx.log(v) of a float constant, once per mpmath working precision."""
+    return _log_const_at(ctx, v, mp.mp.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -49,11 +65,12 @@ def inverse_clamped(m: Modulus, y: float) -> tuple[float, bool]:
     return m.inverse(lim / 2.0), True
 
 
-def _inverse_log_clamped(m: Modulus, log_y: float) -> tuple[float, bool]:
-    log_lim = math.log(m.eval_limit())
+def _inverse_log_clamped(m: Modulus, log_y, ctx) -> tuple:
+    """Log-space inverse_clamped under the number context ctx."""
+    log_lim = _log_const(ctx, m.eval_limit())
     if log_y < log_lim:
-        return m.inverse_log(log_y), False
-    return m.inverse_log(log_lim - math.log(2.0)), True
+        return m._inverse_log_unchecked(log_y, ctx), False
+    return m._inverse_log_unchecked(log_lim - _log_const(ctx, 2.0), ctx), True
 
 
 def _snap_ceil(v: float) -> int:
@@ -63,6 +80,9 @@ def _snap_ceil(v: float) -> int:
 def _int_from_log_ceil(log_v: float) -> int:
     if log_v < 700.0:
         return _snap_ceil(math.exp(log_v))
+    if log_v > _MAX_INT_DIGITS * math.log(10.0):
+        raise BudgetError(f"an exact N or M would have {log_v / math.log(10.0):.3g} "
+                          f"digits, past the cap of {_MAX_INT_DIGITS:.0e}")
     with mp.workdps(40):
         return int(mp.ceil(mp.exp(mp.mpf(log_v)) * (1 - mp.mpf(_SNAP))))
 
@@ -89,7 +109,6 @@ def theta(d: int, m: Modulus, eps: float) -> float:
     return _theta_cached(d, m, eps)[0]
 
 
-@lru_cache(maxsize=None)
 def phi_log(d: int, m: Modulus, eps: float) -> float:
     """log of the stretch-gain parameter.  phi itself underflows binary64
     for deep dimension chains (it cubes through every level), so the log
@@ -98,40 +117,83 @@ def phi_log(d: int, m: Modulus, eps: float) -> float:
         raise DomainError("d must be >= 1")
     if eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
-    if d == 1:
-        v = eps ** 3 / 120.0
-        if v > 0.0:
-            return math.log(v)
-        return 3.0 * math.log(eps) - math.log(120.0)  # eps^3/120 underflowed
-    return math.log(0.5) + phi_log(d - 1, m, theta(d, m, eps))
+    return _dimension_chain(d, m, eps)[-1][1]
 
 
 def phi(d: int, m: Modulus, eps: float) -> float:
     """Stretch-gain parameter: eps^3/120 in dimension one, halved through
     the theta recursion above it.  May underflow to 0.0 for deep chains;
     use phi_log where the magnitude matters."""
-    if d == 1:
-        if eps <= 0.0:
-            raise DomainError(f"eps must be positive, got {eps}")
-        return eps ** 3 / 120.0
-    return math.exp(phi_log(d, m, eps))
+    ph_log = phi_log(d, m, eps)
+    return eps ** 3 / 120.0 if d == 1 else math.exp(ph_log)
 
 
 # ---------------------------------------------------------------------------
-# N0 and M
+# N0, M and num-iter: the closed forms both the scan and the far model use
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _dimension_chain(d: int, m: Modulus, eps: float) -> tuple:
+    """The dimension induction flattened: ((eps_1, log phi_1), ...,
+    (eps_d, log phi_d)), where eps_d = eps, eps_{j-1} = theta(j, eps_j),
+    phi_1 = eps_1^3/120 and phi_j = phi_{j-1}/2."""
+    eps_js = [eps]
+    for j in range(d, 1, -1):
+        eps_js.append(theta(j, m, eps_js[-1]))
+    eps_1 = eps_js.pop()
+    if eps_1 <= 0.0:
+        raise DomainError(f"eps must be positive, got {eps_1}")
+    v = eps_1 ** 3 / 120.0  # underflows for deep chains
+    log_phi = math.log(v) if v > 0.0 else 3.0 * math.log(eps_1) - math.log(120.0)
+    chain = [(eps_1, log_phi)]
+    for eps_j in reversed(eps_js):
+        log_phi = math.log(0.5) + log_phi
+        chain.append((eps_j, log_phi))
+    return tuple(chain)
+
+
+def _n0_floor(chain) -> int:
+    """N0's c-independent bounds: max(2, ceil(6/eps_j)) over the chain."""
+    return max(2, *(_snap_ceil(6.0 / eps_j) for eps_j, _ in chain))
+
+
+def _n0_stretch_logs(m: Modulus, log_phis, log_c, ctx) -> list:
+    """log of N0's stretch-gain bound 1/omega^{-1}(phi_j omega^{-1}(c) /
+    (8 omega(c))) for each log phi_j, j >= 2.  Unchecked at c: the scan
+    validates c; the far model may count levels from outside the domain."""
+    if not log_phis:
+        return []
+    winv_c = m._inverse_log_unchecked(log_c, ctx)
+    weval_c = m._eval_log_unchecked(log_c, ctx)
+    log8 = _log_const(ctx, 8.0)
+    return [-_inverse_log_clamped(m, log_phi + winv_c - log8 - weval_c, ctx)[0]
+            for log_phi in log_phis]
+
+
+def _m_base(m: Modulus, eps_1: float) -> int:
+    """M in dimension one: ceil(1/omega^{-1}(eps_1/4))."""
+    w, _ = inverse_clamped(m, eps_1 / 4.0)
+    if w == 0.0 or math.isinf(1.0 / w):
+        raise BudgetError(f"M's dimension-one base 1/omega^-1(eps_1/4) overflows a "
+                          f"float (eps_1 = {eps_1:.3g})")
+    return _snap_ceil(1.0 / w)
+
+
+def _m_refine_log(m: Modulus, log_n, log_m_prev, ctx):
+    """log of M's refinement bound 1/omega^{-1}(1/(N M_{j-1})) at one
+    dimension step."""
+    return -_inverse_log_clamped(m, -(log_n + log_m_prev), ctx)[0]
+
+
+def _num_iter_rhs(m: Modulus, log_c_next, ctx):
+    """Right-hand side of num-iter, log(omega(c_{r+1}) / c_{r+1})."""
+    return m._eval_log_unchecked(log_c_next, ctx) - log_c_next
+
 
 def _n0_from_log(d: int, m: Modulus, eps: float, log_c: float) -> int:
-    if d == 1:
-        return max(2, _snap_ceil(6.0 / eps))
-    th = theta(d, m, eps)
-    b1 = _n0_from_log(d - 1, m, th, log_c)
-    log_arg = (phi_log(d, m, eps) + m.inverse_log(log_c)
-               - math.log(8.0) - m.eval_log(log_c))
-    w, _ = _inverse_log_clamped(m, log_arg)
-    b2 = _int_from_log_ceil(-w)
-    b3 = _snap_ceil(6.0 / eps)
-    return max(b1, b2, b3)
+    chain = _dimension_chain(d, m, eps)
+    stretch = _n0_stretch_logs(m, [lp for _, lp in chain[1:]], log_c, math)
+    return max([_n0_floor(chain), *map(_int_from_log_ceil, stretch)])
 
 
 def n0(d: int, m: Modulus, eps: float, c: float) -> int:
@@ -147,19 +209,12 @@ def n0(d: int, m: Modulus, eps: float, c: float) -> int:
 def _bigm_cached(N: int, d: int, m: Modulus, eps: float) -> int:
     # M never depends on c: the d=1 base uses eps only, the induction uses
     # N and the theta chain.
-    if d == 1:
-        y = eps / 4.0
-        lim = m.eval_limit()
-        if y >= lim:
-            y = lim / 2.0
-        return _snap_ceil(1.0 / m.inverse(y))
-    th = theta(d, m, eps)
-    m_prev = _bigm_cached(N, d - 1, m, th)
-    log_arg = -(math.log(N) + math.log(m_prev))
-    w, _ = _inverse_log_clamped(m, log_arg)
-    bound = _int_from_log_ceil(-w)
-    k = -(-bound // m_prev)  # ceiling division on exact ints
-    return m_prev * max(k, 1)
+    chain = _dimension_chain(d, m, eps)
+    M = _m_base(m, chain[0][0])
+    for _ in chain[1:]:
+        bound = _int_from_log_ceil(_m_refine_log(m, math.log(N), math.log(M), math))
+        M *= max(-(-bound // M), 1)  # the smallest multiple of M_{j-1} >= bound
+    return M
 
 
 def big_m(N: int, d: int, m: Modulus, eps: float) -> int:
@@ -215,8 +270,7 @@ def _sides_exact(m: Modulus, log_c1: float, ph: float, i: int,
     ph is the float phi (0.0 underflow harmless here: the scan never decides
     a near-crossing in that regime, the far solver does)."""
     lhs = i * math.log1p(ph) + m.inverse_log(log_c1) - log_c1
-    rhs = m.eval_log(log_c_next) - log_c_next
-    return lhs, rhs
+    return lhs, _num_iter_rhs(m, log_c_next, math)
 
 
 def param_sequence(d: int, m: Modulus, eps: float, c: float,
@@ -240,8 +294,11 @@ def param_sequence(d: int, m: Modulus, eps: float, c: float,
         trace.r, trace.r_check, trace.terminated = 1, 0, True
 
     for i in range(1, max_levels + 1):
-        N = _n0_from_log(d, m, eps, log_ci)
-        M = _bigm_cached(N, d, m, eps)
+        try:
+            N = _n0_from_log(d, m, eps, log_ci)
+            M = _bigm_cached(N, d, m, eps)
+        except BudgetError as exc:
+            raise BudgetError(f"level {i}: {exc}") from None
         trace.levels.append(LevelRecord(
             i=i, log_c=log_ci, N=N, M=M,
             log_sidelength=log_ci - math.log(N),
@@ -268,20 +325,6 @@ def quadratic_beta_log(d: int, m: Modulus, eps: float, c: float) -> float:
 # the far regime: continuum model of the level recursion
 # ---------------------------------------------------------------------------
 
-def _log_linear_form(m: Modulus) -> tuple[float, float] | None:
-    """(log Lam, alpha) when omega(t) = Lam * t * log(1/t)^alpha, else None."""
-    if m.kind == "identity":
-        return 0.0, 0.0
-    if m.kind == "logpow":
-        return 0.0, m.alpha
-    if m.kind == "scaled":
-        inner = _log_linear_form(m.inner)
-        if inner is None:
-            return None
-        return math.log(m.L) + inner[0], inner[1]
-    return None
-
-
 class _FarRegime:
     """Continuum model of the level recursion x_{i+1} = x_i + G(x_i), where
     x := log(1/c_i) and G(x) = log(N(x) M(x)) from the same closed forms.
@@ -301,31 +344,19 @@ class _FarRegime:
     """
 
     def __init__(self, trace: ParamTrace, m: Modulus):
-        form = _log_linear_form(m)
-        if form is None:
+        if m._log_linear_form() is None:
             raise UnterminatedError(
                 "far-regime certification only applies to identity/logpow "
                 "moduli and their scalings")
         self.m, self.c = m, trace.c
         self.dps = _dps_for(trace.phi_log)
         self.i0 = len(trace.levels) + 1  # level index whose x equals x0
+        chain = _dimension_chain(trace.d, m, trace.epsilon)
         with mp.workdps(self.dps):
-            self.log_lam = mp.mpf(form[0])
-            self.alpha = mp.mpf(form[1])
             self.x0 = mp.mpf(-trace.log_c_at(self.i0))
-            self.log8 = mp.log(8)
-            self.log_lim = mp.log(m.eval_limit())
-
-            # flatten the dimension recursion into per-dimension constants
-            self.chain = []  # for j = 2..d: (log phi_j, log ceil(6/eps_j))
-            eps_j = trace.epsilon
-            for j in range(trace.d, 1, -1):
-                self.chain.append((j, mp.mpf(phi_log(j, m, eps_j)),
-                                   mp.log(_snap_ceil(6.0 / eps_j))))
-                eps_j = theta(j, m, eps_j)
-            self.chain.reverse()  # ascending j
-            self.log_n1 = mp.log(max(2, _snap_ceil(6.0 / eps_j)))
-            self.log_m1 = mp.log(_bigm_cached(2, 1, m, eps_j))
+            self.log_n_floor = mp.log(_n0_floor(chain))
+            self.log_m1 = mp.log(_m_base(m, chain[0][0]))
+            self.log_phis = [mp.mpf(lp) for _, lp in chain[1:]]
             self._segments = []  # (x_lo, x_hi, cumulative n at x_hi)
             self._g0 = self.G(self.x0)
             # the slope of num-iter's left-hand side i*log(1+phi) + c_const
@@ -339,46 +370,17 @@ class _FarRegime:
         log_c1 = math.log(self.c)
         return mp.mpf(self.m.inverse_log(log_c1) - log_c1)
 
-    # -- modulus in mp arithmetic ----------------------------------------
-
-    def weval_log(self, y):
-        if self.alpha == 0:
-            return y + self.log_lam
-        return y + self.alpha * mp.log(-y) + self.log_lam
-
-    def winv_log(self, y):
-        if self.alpha == 0:
-            return y - self.log_lam
-        z = y - self.log_lam
-        z = z - self.alpha * mp.log(-z)
-        for _ in range(4):
-            f = z + self.alpha * mp.log(-z) + self.log_lam - y
-            z = z - f / (1 + self.alpha / z)
-        return z
-
-    # -- closed forms ------------------------------------------------------
-
     def log_n_of_x(self, x):
-        v = self.log_n1
-        winv_c = self.winv_log(-x)
-        weval_c = self.weval_log(-x)
-        for _, log_phi_j, log_b3_j in self.chain:
-            log_arg = log_phi_j + winv_c - self.log8 - weval_c
-            if log_arg >= self.log_lim:
-                log_arg = self.log_lim - mp.log(2)
-            b2 = -self.winv_log(log_arg)
-            v = max(v, b2, log_b3_j)
-        return v
-
-    def _log_m_of_log_n(self, log_n):
-        v = self.log_m1
-        for _ in self.chain:
-            v = -self.winv_log(-(log_n + v))
-        return v
+        """log N at x = log(1/c): the largest of N0's bounds, unrounded."""
+        return max([self.log_n_floor,
+                    *_n0_stretch_logs(self.m, self.log_phis, -x, mp)])
 
     def G(self, x):
         log_n = self.log_n_of_x(x)
-        return log_n + self._log_m_of_log_n(log_n)
+        log_m = self.log_m1
+        for _ in self.log_phis:  # one refinement per dimension step
+            log_m = _m_refine_log(self.m, log_n, log_m, mp)
+        return log_n + log_m
 
     # -- level counting ------------------------------------------------------
 
@@ -431,15 +433,11 @@ class _FarRegime:
                 break
         return x
 
-    def rhs_log(self, x_next):
-        """Right-hand side of num-iter at the level whose successor sits at
-        x_next: log(omega(c)/c) = alpha*log(x) + log Lam."""
-        return self.weval_log(-x_next) + x_next
-
     def sides(self, i, x_hint=None):
         """(lhs, rhs, x_next) of num-iter with r := i, at integer level i."""
         x_next = self.x_of_level(i + 1, x_hint)
-        return mp.mpf(i) * self.lp + self.c_const, self.rhs_log(x_next), x_next
+        return (mp.mpf(i) * self.lp + self.c_const,
+                _num_iter_rhs(self.m, -x_next, mp), x_next)
 
 
 def _dps_for(ph_log: float) -> int:
@@ -486,7 +484,8 @@ def certify_r(d: int, m: Modulus, eps: float, c: float, max_levels: int = 48,
     with mp.workdps(model.dps):
         def H(x):
             i_real = model.i0 + model.n_of_x(x)
-            return i_real * model.lp + model.c_const - model.rhs_log(x + model.G(x))
+            return (i_real * model.lp + model.c_const
+                    - _num_iter_rhs(m, -(x + model.G(x)), mp))
 
         # bracket the real crossing on the doubling table, then bisect on x
         lo = model.x0
@@ -563,27 +562,20 @@ def upsilon_log(d: int, m: Modulus, eps: float, log_ell: float,
     log_a = math.log(m.a_omega)
     if not (log_ell < log_a):
         raise DomainError("composition level 0: ell outside modulus domain")
-    form = _log_linear_form(m)
-    if form is not None:
-        log_lam, alpha = form
-        u1 = math.log(eps) + m.eval_log(log_ell)
-        if not (u1 < log_a):
-            raise DomainError("composition level 1: eps*omega(ell) outside modulus domain")
-        u2 = u1 + (alpha * math.log(-u1) if alpha else 0.0) + log_lam
-        if not (u2 < log_a):
-            raise DomainError("composition level 2: omega(eps*omega(ell)) outside modulus domain")
-        out = math.log(pi_const) + math.log(eps) + (d + 2) * log_lam
-        if alpha:
-            out += alpha * (math.log(-log_ell) + math.log(-u1) + d * math.log(-u2))
-        return out
     u1 = math.log(eps) + m.eval_log(log_ell)
     if not (u1 < log_a):
         raise DomainError("composition level 1: eps*omega(ell) outside modulus domain")
     u2 = m.eval_log(u1)
     if not (u2 < log_a):
         raise DomainError("composition level 2: omega(eps*omega(ell)) outside modulus domain")
-    u3 = m.eval_log(u2)
-    return math.log(pi_const) + d * u3 - log_ell - (d - 1) * u2
+    form = m._log_linear_form()
+    if form is not None:
+        log_lam, alpha = form
+        out = math.log(pi_const) + math.log(eps) + (d + 2) * log_lam
+        if alpha:
+            out += alpha * (math.log(-log_ell) + math.log(-u1) + d * math.log(-u2))
+        return out
+    return math.log(pi_const) + d * m.eval_log(u2) - log_ell - (d - 1) * u2
 
 
 def upsilon(d: int, m: Modulus, L: float, k: int, eps: float, ell: float,

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from netlab.cli import (_CONFIG_ERRORS, _parse_map, _parse_schedule,
                         _parse_window, main)
 from netlab.moduli import logpow, parse_modulus
 from netlab.netgen import PointCloud
+
+
+DATA = Path(__file__).with_name("data")
 
 
 def run(capsys, *argv):
@@ -106,13 +110,20 @@ class TestExitCodes:
          "--resolution", "16"],
         ["boundary-measure", "--map", "radial-bump:0.5,0.5,-3,0.5",
          "--eps-list", "0.1", "--resolution", "32"],
+        # exact N_i, M_i gain tenfold digits per level under a holder modulus
+        ["params", "--d", "2", "--modulus", "holder:0.5", "--eps", "0.1",
+         "--c", "0.1"],
+        # the dimension-one M base 1/omega^-1(eps_1/4) overflows a float
+        ["params", "--d", "3", "--modulus", "holder:0.5", "--eps", "0.1",
+         "--c", "0.1"],
     ], ids=["holder-no-value", "logpow-no-value", "scaled-no-value",
             "stretch-fills-window", "net-build-side-0", "net-build-side-neg",
             "net-discrepancy-side-0", "delta-div-0", "families-c-0",
             "families-d-0", "rho-zero-denominator", "c-zero-denominator",
             "xi-zero-denominator", "dichotomy-n-0", "dichotomy-m-0",
             "b1-max-iters-0", "volume-n-0", "volume-d-0", "bump-width-0",
-            "volume-budget-0", "bump-amp-above-range", "bump-amp-below-range"])
+            "volume-budget-0", "bump-amp-above-range", "bump-amp-below-range",
+            "params-holder-digit-cap", "params-holder-m-base-overflow"])
     def test_bad_flag_value_exits_two_without_traceback(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -222,6 +233,24 @@ class TestOutputs:
         assert csv.splitlines()[0].startswith("# tool: netlab")
         header = [l for l in csv.splitlines() if not l.startswith("#")][0]
         assert header == "i,log_c_i,N_i,M_i,log_ell_i,upsilon_i"
+
+    @pytest.mark.parametrize("name,argv", [
+        ("params_logpow_d2_no_certify",
+         ["--d", "2", "--modulus", "logpow:0.01", "--eps", "0.1", "--c", "0.1",
+          "--no-certify"]),
+        ("params_identity_d3",
+         ["--d", "3", "--modulus", "identity", "--eps", "0.1", "--c", "0.1"]),
+        ("params_logpow_d1_far",
+         ["--d", "1", "--modulus", "logpow:0.01", "--eps", "0.1", "--c", "0.1",
+          "--max-levels", "8"]),
+    ])
+    def test_params_outputs_pinned(self, capsys, tmp_path, name, argv):
+        # bytes recorded from the float scan and the far model before they
+        # shared one set of closed forms; a moved digit in either path fails
+        code, _, _ = run(capsys, "params", *argv, "--out", str(tmp_path / name))
+        assert code == 0
+        for ext in (".json", ".csv"):
+            assert (tmp_path / (name + ext)).read_bytes() == (DATA / (name + ext)).read_bytes()
 
     def test_reruns_byte_identical(self, capsys, tmp_path):
         args = ["families", "--d", "2", "--schedule", "6x2,4x3", "--c", "1",

@@ -231,7 +231,7 @@ class TestExactSearch:
     def test_threshold_enforced(self):
         X, Y = random_instance(41, 12)
         with pytest.raises(BudgetError):
-            min_bilip_exact(X, Y, exact_threshold=10)
+            min_bilip_exact(X, Y)
 
 
 class TestPinnedResults:

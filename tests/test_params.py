@@ -4,9 +4,157 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from netlab.errors import DomainError, UnterminatedError
-from netlab.moduli import identity, logpow
+from netlab.errors import BudgetError, DomainError, UnterminatedError
+from netlab.moduli import identity, logpow, scaled
 from netlab import params as P
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the float scan's N0 and M recursions and the far model's
+# own closed forms, as each path coded them before both called one shared
+# set of forms.  The shared forms must reproduce them exactly.
+# ---------------------------------------------------------------------------
+
+def reference_inverse_log_clamped(m, log_y):
+    log_lim = math.log(m.eval_limit())
+    if log_y < log_lim:
+        return m.inverse_log(log_y), False
+    return m.inverse_log(log_lim - math.log(2.0)), True
+
+
+def reference_n0_from_log(d, m, eps, log_c):
+    if d == 1:
+        return max(2, P._snap_ceil(6.0 / eps))
+    th = P.theta(d, m, eps)
+    b1 = reference_n0_from_log(d - 1, m, th, log_c)
+    log_arg = (P.phi_log(d, m, eps) + m.inverse_log(log_c)
+               - math.log(8.0) - m.eval_log(log_c))
+    w, _ = reference_inverse_log_clamped(m, log_arg)
+    b2 = P._int_from_log_ceil(-w)
+    b3 = P._snap_ceil(6.0 / eps)
+    return max(b1, b2, b3)
+
+
+def reference_bigm_cached(N, d, m, eps):
+    if d == 1:
+        y = eps / 4.0
+        lim = m.eval_limit()
+        if y >= lim:
+            y = lim / 2.0
+        return P._snap_ceil(1.0 / m.inverse(y))
+    th = P.theta(d, m, eps)
+    m_prev = reference_bigm_cached(N, d - 1, m, th)
+    log_arg = -(math.log(N) + math.log(m_prev))
+    w, _ = reference_inverse_log_clamped(m, log_arg)
+    bound = P._int_from_log_ceil(-w)
+    k = -(-bound // m_prev)  # ceiling division on exact ints
+    return m_prev * max(k, 1)
+
+
+def reference_sides_exact(m, log_c1, ph, i, log_c_next):
+    lhs = i * math.log1p(ph) + m.inverse_log(log_c1) - log_c1
+    rhs = m.eval_log(log_c_next) - log_c_next
+    return lhs, rhs
+
+
+def reference_param_sequence(d, m, eps, c, max_levels):
+    ph_log = P.phi_log(d, m, eps)
+    ph = math.exp(ph_log)
+    clamped = P._theta_cached(d, m, eps)[1] if d >= 2 else False
+    trace = P.ParamTrace(d=d, epsilon=eps, c=c, phi=ph, phi_log=ph_log,
+                         clamped=clamped)
+    log_c1 = math.log(c)
+    log_ci = log_c1
+    lhs, rhs = reference_sides_exact(m, log_c1, ph, 0, log_c1)
+    if lhs >= rhs:
+        trace.r, trace.r_check, trace.terminated = 1, 0, True
+    for i in range(1, max_levels + 1):
+        N = reference_n0_from_log(d, m, eps, log_ci)
+        M = reference_bigm_cached(N, d, m, eps)
+        trace.levels.append(P.LevelRecord(
+            i=i, log_c=log_ci, N=N, M=M,
+            log_sidelength=log_ci - math.log(N),
+        ))
+        log_next = log_ci - math.log(N) - math.log(M)
+        if not trace.terminated:
+            lhs, rhs = reference_sides_exact(m, log_c1, ph, i, log_next)
+            if lhs >= rhs:
+                trace.r, trace.r_check, trace.terminated = i, i, True
+        log_ci = log_next
+    return trace
+
+
+def reference_log_linear_form(m):
+    if m.kind == "identity":
+        return 0.0, 0.0
+    if m.kind == "logpow":
+        return 0.0, m.alpha
+    if m.kind == "scaled":
+        inner = reference_log_linear_form(m.inner)
+        if inner is None:
+            return None
+        return math.log(m.L) + inner[0], inner[1]
+    return None
+
+
+class ReferenceFarRegime(P._FarRegime):
+    """The far model on its own mp copies of omega, omega^{-1}, N0 and M;
+    level counting (quadrature table, n_of_x, x_of_level) is inherited."""
+
+    def __init__(self, trace, m):
+        form = reference_log_linear_form(m)
+        with mp.workdps(P._dps_for(trace.phi_log)):
+            self.log_lam = mp.mpf(form[0])
+            self.alpha = mp.mpf(form[1])
+            self.log8 = mp.log(8)
+            self.log_lim = mp.log(m.eval_limit())
+            self.chain = []
+            eps_j = trace.epsilon
+            for j in range(trace.d, 1, -1):
+                self.chain.append((j, mp.mpf(P.phi_log(j, m, eps_j)),
+                                   mp.log(P._snap_ceil(6.0 / eps_j))))
+                eps_j = P.theta(j, m, eps_j)
+            self.chain.reverse()  # ascending j
+            self.log_n1 = mp.log(max(2, P._snap_ceil(6.0 / eps_j)))
+            self.log_m1 = mp.log(reference_bigm_cached(2, 1, m, eps_j))
+        super().__init__(trace, m)
+
+    def weval_log(self, y):
+        if self.alpha == 0:
+            return y + self.log_lam
+        return y + self.alpha * mp.log(-y) + self.log_lam
+
+    def winv_log(self, y):
+        if self.alpha == 0:
+            return y - self.log_lam
+        z = y - self.log_lam
+        z = z - self.alpha * mp.log(-z)
+        for _ in range(4):
+            f = z + self.alpha * mp.log(-z) + self.log_lam - y
+            z = z - f / (1 + self.alpha / z)
+        return z
+
+    def log_n_of_x(self, x):
+        v = self.log_n1
+        winv_c = self.winv_log(-x)
+        weval_c = self.weval_log(-x)
+        for _, log_phi_j, log_b3_j in self.chain:
+            log_arg = log_phi_j + winv_c - self.log8 - weval_c
+            if log_arg >= self.log_lim:
+                log_arg = self.log_lim - mp.log(2)
+            b2 = -self.winv_log(log_arg)
+            v = max(v, b2, log_b3_j)
+        return v
+
+    def _log_m_of_log_n(self, log_n):
+        v = self.log_m1
+        for _ in self.chain:
+            v = -self.winv_log(-(log_n + v))
+        return v
+
+    def G(self, x):
+        log_n = self.log_n_of_x(x)
+        return log_n + self._log_m_of_log_n(log_n)
 
 
 class TestThetaPhi:
@@ -197,6 +345,15 @@ class TestComputeR:
         with pytest.raises(UnterminatedError):
             P.certify_r(1, holder(0.5), 0.3, 0.5, max_levels=30)
 
+    def test_holder_scan_stops_before_huge_integers(self):
+        # N_i, M_i gain tenfold digits per level; level 7 would need 1.3e8
+        from netlab.moduli import holder
+        with pytest.raises(BudgetError, match="level 7: .* digits"):
+            P.param_sequence(2, holder(0.5), 0.1, 0.1, 48)
+        # the dimension-one M base 1/omega^-1(eps_1/4) overflows a float
+        with pytest.raises(BudgetError, match="level 1: M's dimension-one base"):
+            P.param_sequence(3, holder(0.5), 0.1, 0.1, 48)
+
     def test_r_shape_fit(self):
         # r tracks 1/(c poly(eps)): fit the exponent across an eps grid and
         # check the fitted envelope bounds every computed value
@@ -308,3 +465,67 @@ class TestUpsilonKappa:
         expect = math.exp(max(vals))
         assert P.kappa(1, m, 1.0, 1, eps, c, max_levels=8000) == pytest.approx(
             expect, rel=1e-12)
+
+
+REFERENCE_MODULI = [identity(), logpow(0.01), logpow(0.3), logpow(0.5),
+                    scaled(2.0, logpow(0.3))]
+
+
+class TestSharedFormsMatchReferences:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", REFERENCE_MODULI, ids=repr)
+    def test_float_scan_matches_recursions(self, d, m):
+        for eps in (0.05, 0.1, 0.35):
+            for c in (0.02, 0.1):
+                N = P.n0(d, m, eps, c)
+                assert N == reference_n0_from_log(d, m, eps, math.log(c))
+                assert P.big_m(N, d, m, eps) == reference_bigm_cached(N, d, m, eps)
+                assert (P.param_sequence(d, m, eps, c, 12)
+                        == reference_param_sequence(d, m, eps, c, 12))
+
+    @pytest.mark.parametrize("m,d,eps,c", [
+        (logpow(0.01), 2, 0.1, 0.1),
+        (scaled(2.0, logpow(0.3)), 2, 0.35, 0.1),
+        (logpow(0.3), 3, 0.35, 0.1),
+    ], ids=["logpow0.01-d2", "scaled2-logpow0.3-d2", "logpow0.3-d3"])
+    def test_far_model_matches_its_own_forms(self, m, d, eps, c):
+        trace = P.param_sequence(d, m, eps, c, 4)
+        model = P._FarRegime(trace, m)
+        ref = ReferenceFarRegime(trace, m)
+        with mp.workdps(model.dps):
+            for f in (1, 1.5, 7, 1e3, 1e10, 1e30):
+                x = model.x0 * f
+                assert model.G(x) == ref.G(x)
+                assert model.log_n_of_x(x) == ref.log_n_of_x(x)
+            i = model.i0 + 10 ** 6
+            lhs, rhs, x_next = model.sides(i)
+            ref_x_next = ref.x_of_level(i + 1)
+            assert x_next == ref_x_next
+            assert rhs == ref.weval_log(-ref_x_next) + ref_x_next
+            assert lhs == mp.mpf(i) * ref.lp + ref.c_const
+
+
+class TestMpInverseOracle:
+    """The far model's omega^{-1} (Newton under mpmath) against findroot on
+    t + alpha log(-t) + log Lam = log y at 30 more digits."""
+
+    DPS = 52  # the model's precision for the README params example
+
+    @staticmethod
+    def oracle(alpha, log_lam, log_y, dps):
+        with mp.workdps(dps + 30):
+            y, a = mp.mpf(log_y), mp.mpf(alpha)
+            return mp.findroot(lambda t: t + a * mp.log(-t) + log_lam - y, y - log_lam)
+
+    @pytest.mark.parametrize("m,log_lam", [
+        (logpow(0.01), 0), (logpow(0.3), 0), (logpow(0.5), 0),
+        # the model takes log Lam as the float log L, so the oracle does too
+        (scaled(2.0, logpow(0.3)), mp.mpf(math.log(2.0))),
+    ], ids=["logpow0.01", "logpow0.3", "logpow0.5", "scaled2-logpow0.3"])
+    def test_newton_inverse_matches_findroot(self, m, log_lam):
+        alpha = m.inner.alpha if m.kind == "scaled" else m.alpha
+        for log_y in (-20, -50, -1e3, -1e5, -1e20, -1e36):
+            want = self.oracle(alpha, log_lam, log_y, self.DPS)
+            with mp.workdps(self.DPS):
+                got = m.inverse_log(mp.mpf(log_y), mp)
+            assert abs(got - want) <= abs(want) * mp.mpf(10) ** (3 - self.DPS)

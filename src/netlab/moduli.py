@@ -14,8 +14,8 @@ constraint ("void" pairs) and are skipped by the constant computations.
 
 All functions also exist in log-argument form (``eval_log``/``inverse_log``)
 so that quantities far below the float underflow threshold can be handled;
-the parameter recursions need values like exp(-1e5).  They take a number
-context, ``math`` (the float level scan) or ``mpmath.mp`` (the far model).
+the parameter recursions need values like exp(-1e5).  Their unchecked
+forms take a number context, ``math`` (the scan) or ``mpmath.mp`` (the model).
 """
 
 from __future__ import annotations
@@ -38,8 +38,13 @@ E_INV_SQ = math.exp(-2.0)
 @lru_cache(maxsize=None)
 def _log_linear_mpf(m, prec):
     """m's (log Lam, alpha) as mpf, converted once per working precision."""
-    form = m._log_linear_form()
-    return None if form is None else (mpmath.mpf(form[0]), mpmath.mpf(form[1]))
+    return tuple(map(mpmath.mpf, m._log_linear_form()))
+
+
+def _log_linear_log(log_t, log_lam, alpha, ctx):
+    """log(Lam t log(1/t)^alpha) given log t, skipping exact + 0 terms."""
+    v = log_t + alpha * ctx.log(-log_t) if alpha else log_t
+    return v + log_lam if log_lam else v
 
 
 @dataclass(frozen=True)
@@ -92,22 +97,24 @@ class Modulus:
             return t * math.log(1.0 / t) ** self.alpha
         return self.L * self.inner._eval_unchecked(t)
 
-    def eval_log(self, log_t, ctx=math):
-        """log(omega(t)) given log(t); works for arbitrarily small t.  ``ctx``
-        is the number context, ``math`` or ``mpmath.mp``."""
+    def eval_log(self, log_t: float) -> float:
+        """log(omega(t)) given log(t); works for arbitrarily small t."""
         if not (log_t < math.log(self.a_omega)):
             raise DomainError(f"log t={log_t} outside domain (log a = {math.log(self.a_omega)})")
-        return self._eval_log_unchecked(log_t, ctx)
+        return self._eval_log_unchecked(log_t)
 
     def _eval_log_unchecked(self, log_t, ctx=math):
+        """Under ``mpmath.mp`` (log-linear kinds only) this is the form the
+        Newton inverse solves, so omega and omega^{-1} share one log Lam."""
+        if ctx is not math:
+            return _log_linear_log(log_t, *_log_linear_mpf(self, mpmath.mp.prec), ctx)
         if self.kind == "identity":
             return log_t
         if self.kind == "holder":
             return self.alpha * log_t
         if self.kind == "logpow":
-            return log_t + self.alpha * ctx.log(-log_t)
-        # log L stays the float log in every context
-        return math.log(self.L) + self.inner._eval_log_unchecked(log_t, ctx)
+            return log_t + self.alpha * math.log(-log_t)
+        return math.log(self.L) + self.inner._eval_log_unchecked(log_t)
 
     def eval_limit(self) -> float:
         """sup of omega on its domain (the continuous extension at a_omega)."""
@@ -140,36 +147,30 @@ class Modulus:
             hi = self.a_omega * (1.0 - 1e-15)
         return _bisect(self._eval_unchecked, y, lo, hi, lambda h: _BISECT_REL_TOL * h)
 
-    def inverse_log(self, log_y, ctx=math):
-        """log(omega^{-1}(y)) given log(y); log-space companion of inverse.
-        Under ``math`` logpow bisects on log t; under ``mpmath.mp`` the
-        log-linear kinds (omega(t) = Lam t log(1/t)^alpha) take four Newton
-        steps at the working precision."""
+    def inverse_log(self, log_y: float) -> float:
+        """log(omega^{-1}(y)) given log(y); log-space companion of inverse."""
         if not (log_y < math.log(self.eval_limit())):
             raise RangeError(f"log y={log_y} outside range")
-        return self._inverse_log_unchecked(log_y, ctx)
+        return self._inverse_log_unchecked(log_y)
 
     def _inverse_log_unchecked(self, log_y, ctx=math):
-        form = _log_linear_mpf(self, mpmath.mp.prec) if ctx is not math else None
-        if form is not None:
-            log_lam, alpha = form
-            if not alpha:
-                return log_y - log_lam
-            # unscaled logpow has log Lam = 0: adding it is exact, so skipped
+        """Under ``math`` logpow bisects on log t; ``mpmath.mp`` takes only
+        the log-linear kinds (omega(t) = Lam t log(1/t)^alpha) and four
+        Newton steps at the working precision."""
+        if ctx is not math:
+            log_lam, alpha = _log_linear_mpf(self, mpmath.mp.prec)
             z = log_y - log_lam if log_lam else log_y
-            z = z - alpha * ctx.log(-z)
-            for _ in range(4):
-                f = z + alpha * ctx.log(-z)
-                if log_lam:
-                    f = f + log_lam
-                z = z - (f - log_y) / (1 + alpha / z)
+            if alpha:
+                z = z - alpha * ctx.log(-z)
+                for _ in range(4):
+                    z = z - (_log_linear_log(z, log_lam, alpha, ctx) - log_y) / (1 + alpha / z)
             return z
         if self.kind == "identity":
             return log_y
         if self.kind == "holder":
             return log_y / self.alpha
         if self.kind == "scaled":
-            return self.inner._inverse_log_unchecked(log_y - math.log(self.L), ctx)
+            return self.inner._inverse_log_unchecked(log_y - math.log(self.L))
         # bisection on log t; omega(t) >= t brackets the solution from above
         hi = min(log_y, math.log(self.a_omega) - 1e-15)
         if self._eval_log_unchecked(hi) < log_y:

@@ -487,7 +487,9 @@ class TestSharedFormsMatchReferences:
         (logpow(0.01), 2, 0.1, 0.1),
         (scaled(2.0, logpow(0.3)), 2, 0.35, 0.1),
         (logpow(0.3), 3, 0.35, 0.1),
-    ], ids=["logpow0.01-d2", "scaled2-logpow0.3-d2", "logpow0.3-d3"])
+        (scaled(2.0, scaled(3.0, logpow(0.5))), 2, 0.35, 0.1),
+    ], ids=["logpow0.01-d2", "scaled2-logpow0.3-d2", "logpow0.3-d3",
+            "scaled2-scaled3-logpow0.5-d2"])
     def test_far_model_matches_its_own_forms(self, m, d, eps, c):
         trace = P.param_sequence(d, m, eps, c, 4)
         model = P._FarRegime(trace, m)
@@ -521,11 +523,19 @@ class TestMpInverseOracle:
         (logpow(0.01), 0), (logpow(0.3), 0), (logpow(0.5), 0),
         # the model takes log Lam as the float log L, so the oracle does too
         (scaled(2.0, logpow(0.3)), mp.mpf(math.log(2.0))),
-    ], ids=["logpow0.01", "logpow0.3", "logpow0.5", "scaled2-logpow0.3"])
+        (scaled(2.0, scaled(3.0, logpow(0.5))), mp.mpf(math.log(2.0) + math.log(3.0))),
+    ], ids=["logpow0.01", "logpow0.3", "logpow0.5", "scaled2-logpow0.3",
+            "scaled2-scaled3-logpow0.5"])
     def test_newton_inverse_matches_findroot(self, m, log_lam):
-        alpha = m.inner.alpha if m.kind == "scaled" else m.alpha
+        base = m
+        while base.kind == "scaled":
+            base = base.inner
         for log_y in (-20, -50, -1e3, -1e5, -1e20, -1e36):
-            want = self.oracle(alpha, log_lam, log_y, self.DPS)
+            want = self.oracle(base.alpha, log_lam, log_y, self.DPS)
             with mp.workdps(self.DPS):
-                got = m.inverse_log(mp.mpf(log_y), mp)
-            assert abs(got - want) <= abs(want) * mp.mpf(10) ** (3 - self.DPS)
+                tol = mp.mpf(10) ** (3 - self.DPS)
+                got = m._inverse_log_unchecked(mp.mpf(log_y), mp)
+                # omega under mpmath takes the same log Lam as its inverse
+                back = m._eval_log_unchecked(got, mp)
+            assert abs(got - want) <= abs(want) * tol
+            assert abs(back - log_y) <= abs(log_y) * tol

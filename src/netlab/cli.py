@@ -19,6 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from . import __version__
@@ -217,6 +218,16 @@ def _cmd_moduli_check(a):
     return _jsonable(rep), None, None, None, not rep.all_pass
 
 
+def _exp_or_text(log_value):
+    """exp(log_value) as a float, or, past the float range, mpmath's
+    17-digit text for it in the same d.ddde+NNN shape as a float's repr."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        with mpmath.workdps(17):
+            return mpmath.nstr(mpmath.exp(log_value), 17)
+
+
 def _cmd_params(a):
     m = parse_modulus(a["modulus"])
     d, eps, c = int(a["d"]), float(a["eps"]), float(a["c"])
@@ -227,7 +238,7 @@ def _cmd_params(a):
     trace = cert.trace if cert else P.param_sequence(d, m, eps, c, max_levels)
     rows, cols = [], ["i", "log_c_i", "N_i", "M_i", "log_ell_i", "upsilon_i"]
     for rec in trace.levels:
-        ups = math.exp(P.upsilon_log(d, m, eps, rec.log_sidelength))
+        ups = _exp_or_text(P.upsilon_log(d, m, eps, rec.log_sidelength))
         rows.append([rec.i, rec.log_c, rec.N, rec.M, rec.log_sidelength, ups])
     summary = {
         "phi": trace.phi, "phi_log": trace.phi_log,

@@ -455,6 +455,48 @@ def _box_volume(box):
     return float(np.prod([hi - lo for lo, hi in box]))
 
 
+_MC_BLOCK = 1 << 16  # points per block of the image-grid and sampling passes
+
+
+def _block_sizes(n, block):
+    """Sizes of ceil(n / block) consecutive blocks covering n items that
+    differ by at most one, as np.array_split cuts them.  So no block has a
+    single row unless n does: a one-row ``x @ A.T`` goes through BLAS gemv
+    and can differ from the gemm row in the last bit."""
+    count = -(-n // block)
+    q, r = divmod(n, count)
+    return [q + 1] * r + [q] * (count - r)
+
+
+def _image_extent(h, box, G):
+    """(bbox, max_step) of h on the G^d grid of box: max_step is the largest
+    image distance between grid neighbours, bbox the image's bounding box
+    padded by 2 max_step on every side.
+
+    Runs over slabs of whole grid rows along axis 0, about _MC_BLOCK points
+    each; consecutive slabs share one row, so every axis-0 step is seen.
+    """
+    d = len(box)
+    axes = [np.linspace(lo, hi, G) for lo, hi in box]
+    lo, hi = np.full(d, np.inf), np.full(d, -np.inf)
+    max_step = 0.0
+    start = 0
+    # at least two rows a slab, so the first slab has an axis-0 step too
+    for rows in _block_sizes(G, max(2, _MC_BLOCK // G ** (d - 1))):
+        first, start = max(start - 1, 0), start + rows
+        mesh = np.meshgrid(axes[0][first:start], *axes[1:], indexing="ij")
+        img = h(np.stack([m.ravel() for m in mesh], axis=-1))
+        np.minimum(lo, img.min(axis=0), out=lo)
+        np.maximum(hi, img.max(axis=0), out=hi)
+        img_grid = img.reshape(start - first, *([G] * (d - 1)), d)
+        for ax in range(d):
+            diffs = np.diff(img_grid, axis=ax)
+            max_step = max(max_step, float(np.linalg.norm(diffs, axis=-1).max()))
+    bbox = [(float(lo[k]) - 2 * max_step, float(hi[k]) + 2 * max_step)
+            for k in range(d)]
+    return bbox, max_step
+
+
 def image_volume(h, box, mode: str = "auto", budget: int = 200_000,
                  seed: int = 0) -> VolumeEstimate:
     """Volume of h(box).
@@ -466,7 +508,10 @@ def image_volume(h, box, mode: str = "auto", budget: int = 200_000,
     monte_carlo: preimage membership test on bounding-box samples with a
     95 percent binomial interval.  The radial bump decides each sample's
     membership from its radius bracket as soon as the bracket settles it,
-    with the same answer as the box test of its full inverse.
+    with the same answer as the box test of its full inverse.  Samples
+    are drawn and tested in blocks of _MC_BLOCK, and the image grid that
+    sets the sampling box is walked in slabs of about as many points, so
+    memory is bounded by the block and not by ``budget``.
     """
     if mode not in ("auto", "grid", "monte_carlo"):
         raise ConfigurationError(f"unknown mode {mode!r}")
@@ -483,22 +528,15 @@ def image_volume(h, box, mode: str = "auto", budget: int = 200_000,
         raise DomainError("map is not injective on the sample grid")
 
     G = max(4, int(round(budget ** (1.0 / d) / 2)))
-    grid = _grid_points(box, G)
-    img = h(grid)
-    img_grid = img.reshape(*([G] * d), d)
-    max_step = 0.0
-    for ax in range(d):
-        diffs = np.diff(img_grid, axis=ax)
-        max_step = max(max_step, float(np.linalg.norm(diffs, axis=-1).max()))
-    bbox = [(float(img[:, k].min()) - 2 * max_step,
-             float(img[:, k].max()) + 2 * max_step) for k in range(d)]
+    bbox, max_step = _image_extent(h, box, G)
 
     if mode == "grid":
         res = max(8, int(round(budget ** (1.0 / d))))
         # cells never finer than the image sampling step, else cover gaps
         cell = max(max(hi - lo for lo, hi in bbox) / res, max_step)
         dil = int(math.ceil(max_step / cell)) + 1
-        (cover, band), _ = _rasters([img, h(_boundary_points(box, 4 * G))],
+        (cover, band), _ = _rasters([h(_grid_points(box, G)),
+                                     h(_boundary_points(box, 4 * G))],
                                     [lo for lo, _ in bbox], cell, pad=dil)
         # a cube of side 2*dil+1 on a frame padded by dil: the Minkowski sum
         grow = np.ones((2 * dil + 1,) * d, dtype=bool)
@@ -511,9 +549,12 @@ def image_volume(h, box, mode: str = "auto", budget: int = 200_000,
     if not hasattr(h, "preimage_in"):
         raise ConfigurationError("map exposes no inverse; use grid mode")
     rng = np.random.default_rng(seed)
-    samples = rng.uniform([lo for lo, _ in bbox], [hi for _, hi in bbox],
-                          size=(budget, d))
-    p_hat = h.preimage_in(samples, box).mean()
+    low, high = [lo for lo, _ in bbox], [hi for _, hi in bbox]
+    hits = 0
+    for k in _block_sizes(budget, _MC_BLOCK):
+        hits += int(np.count_nonzero(
+            h.preimage_in(rng.uniform(low, high, size=(k, d)), box)))
+    p_hat = np.float64(hits) / budget
     vb = _box_volume(bbox)
     half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / budget)
     return VolumeEstimate(value=p_hat * vb, lower=(p_hat - half) * vb,

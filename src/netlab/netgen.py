@@ -24,6 +24,14 @@ from .errors import ConfigurationError, DomainError
 MAGIC = b"NETF"
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 @dataclass
 class PointCloud:
     points: np.ndarray
@@ -47,15 +55,32 @@ class PointCloud:
 
     @staticmethod
     def from_csv(text: str) -> "PointCloud":
-        rows = []
-        for line in text.splitlines():
+        """Rows of comma-separated coordinates.  Blank lines, ``#`` lines and
+        one line of column names (no field a number) before the first data
+        row are skipped; any other row that does not parse, has another
+        column count than the first, or holds NaN or inf raises
+        ConfigurationError naming its line."""
+        rows, header = [], False
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                rows.append([float(v) for v in line.split(",")])
+                row = [float(v) for v in line.split(",")]
             except ValueError:
-                continue  # header row
+                if rows or header or any(map(_is_number, line.split(","))):
+                    raise ConfigurationError(
+                        f"point file line {lineno}: cannot parse {line!r}") from None
+                header = True
+                continue
+            if rows and len(row) != len(rows[0]):
+                raise ConfigurationError(
+                    f"point file line {lineno}: {len(row)} columns, "
+                    f"expected {len(rows[0])}")
+            if not all(map(math.isfinite, row)):
+                raise ConfigurationError(
+                    f"point file line {lineno}: non-finite coordinate")
+            rows.append(row)
         return PointCloud(np.array(rows))
 
     def to_netf(self) -> bytes:
@@ -67,8 +92,18 @@ class PointCloud:
     def from_netf(blob: bytes) -> "PointCloud":
         if blob[:4] != MAGIC:
             raise ConfigurationError("bad magic in binary point file")
+        if len(blob) < 12:
+            raise ConfigurationError("binary point file truncated in its header")
         n, d = struct.unpack("<II", blob[4:12])
-        pts = np.frombuffer(blob[12:12 + 8 * n * d], dtype="<f8").reshape(n, d)
+        if len(blob) - 12 != 8 * n * d:
+            raise ConfigurationError(
+                f"binary point file holds {len(blob) - 12} data bytes; its header "
+                f"promises {8 * n * d} for {n} points of dimension {d}")
+        pts = np.frombuffer(blob[12:], dtype="<f8").reshape(n, d)
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=-1))
+        if len(bad):
+            raise ConfigurationError(
+                f"binary point file point {bad[0]}: non-finite coordinate")
         return PointCloud(pts.copy())
 
 

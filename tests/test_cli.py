@@ -2,6 +2,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_GOOD_ROWS = b"x,y\n0,0\n1,0\n0,1\n1,1\n"
+_NETF = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])).to_netf()
+# point files net-audit must refuse, by file name
+_BAD_POINT_FILES = {
+    "unparsable-row.csv": _GOOD_ROWS + b"0,1x\n",
+    "unparsable-first-row.csv": b"0,1x\n" + _GOOD_ROWS,
+    "second-header.csv": b"x,y\n" + _GOOD_ROWS,
+    "wrong-column-count.csv": _GOOD_ROWS + b"0.5,0.5,0.5\n",
+    "nan.csv": _GOOD_ROWS + b"nan,0.5\n",
+    "inf.csv": _GOOD_ROWS + b"0.5,-inf\n",
+    "nan.netf": _NETF[:-8] + np.array([np.nan]).tobytes(),
+    "truncated.netf": _NETF[:-1],
+    "trailing-bytes.netf": _NETF + b"\0",
+    "truncated-header.netf": _NETF[:10],
+}
 
 
 class TestExitCodes:
@@ -116,6 +134,8 @@ class TestExitCodes:
         # the dimension-one M base 1/omega^-1(eps_1/4) overflows a float
         ["params", "--d", "3", "--modulus", "holder:0.5", "--eps", "0.1",
          "--c", "0.1"],
+        *[["net-audit", "--points", name, "--window", "0:1"]
+          for name in _BAD_POINT_FILES],
     ], ids=["holder-no-value", "logpow-no-value", "scaled-no-value",
             "stretch-fills-window", "net-build-side-0", "net-build-side-neg",
             "net-discrepancy-side-0", "delta-div-0", "families-c-0",
@@ -123,8 +143,13 @@ class TestExitCodes:
             "xi-zero-denominator", "dichotomy-n-0", "dichotomy-m-0",
             "b1-max-iters-0", "volume-n-0", "volume-d-0", "bump-width-0",
             "volume-budget-0", "bump-amp-above-range", "bump-amp-below-range",
-            "params-holder-digit-cap", "params-holder-m-base-overflow"])
-    def test_bad_flag_value_exits_two_without_traceback(self, capsys, argv):
+            "params-holder-digit-cap", "params-holder-m-base-overflow",
+            *_BAD_POINT_FILES])
+    def test_bad_flag_value_exits_two_without_traceback(self, capsys, tmp_path,
+                                                        monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        for name, blob in _BAD_POINT_FILES.items():
+            (tmp_path / name).write_bytes(blob)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -251,6 +276,20 @@ class TestOutputs:
         assert code == 0
         for ext in (".json", ".csv"):
             assert (tmp_path / (name + ext)).read_bytes() == (DATA / (name + ext)).read_bytes()
+
+    def test_params_upsilon_past_float_range_is_written_as_text(self, capsys):
+        # holder upsilon: 5.7e106 at level 1, past the float range at level 2
+        code, out, err = run(capsys, "params", "--d", "2", "--modulus", "holder:0.5",
+                             "--eps", "0.1", "--c", "0.1", "--no-certify",
+                             "--max-levels", "2", "--format", "csv")
+        assert code == 0
+        assert "Traceback" not in err
+        lines = [l for l in out.splitlines() if not l.startswith("#")]
+        ups = [row.split(",")[-1] for row in lines[1:]]
+        assert len(ups) == 2
+        assert all(mpmath.isfinite(mpmath.mpf(v)) for v in ups)
+        assert ups[0] == repr(float(ups[0]))
+        assert mpmath.mpf(ups[1]) > 1e308
 
     def test_reruns_byte_identical(self, capsys, tmp_path):
         args = ["families", "--d", "2", "--schedule", "6x2,4x3", "--c", "1",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from netlab.geomlab import (
     AffineMap,
     SymdiffReport,
     VolumeEstimate,
+    _MC_BLOCK,
     _boundary_points,
+    _box_volume,
     _grid_points,
     RadialBump,
     boundary_neighborhood_measure,
@@ -379,6 +382,76 @@ class TestInverseOracle:
         centre = bump.center[None, :]
         assert bump.preimage_in(centre, around)[0]
         assert not bump.preimage_in(centre, aside)[0]
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo oracle: the image-volume branch that held every point at once
+# ---------------------------------------------------------------------------
+
+def reference_image_volume(h, box, budget, seed):
+    d = len(box)
+    G = max(4, int(round(budget ** (1.0 / d) / 2)))
+    grid = _grid_points(box, G)
+    img = h(grid)
+    img_grid = img.reshape(*([G] * d), d)
+    max_step = 0.0
+    for ax in range(d):
+        diffs = np.diff(img_grid, axis=ax)
+        max_step = max(max_step, float(np.linalg.norm(diffs, axis=-1).max()))
+    bbox = [(float(img[:, k].min()) - 2 * max_step,
+             float(img[:, k].max()) + 2 * max_step) for k in range(d)]
+
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform([lo for lo, _ in bbox], [hi for _, hi in bbox],
+                          size=(budget, d))
+    p_hat = h.preimage_in(samples, box).mean()
+    vb = _box_volume(bbox)
+    half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / budget)
+    return VolumeEstimate(value=p_hat * vb, lower=(p_hat - half) * vb,
+                          upper=(p_hat + half) * vb, mode="monte_carlo")
+
+
+_B = _MC_BLOCK
+_AFFINE = {1: ([[1.3]], [0.2]),
+           2: ([[1.2, 0.3], [-0.1, 0.9]], [0.3, -0.7]),
+           3: ([[1.1, 0.2, -0.3], [0.0, 0.8, 0.1], [0.4, -0.2, 1.25]],
+               [-0.5, 0.25, 1.5])}
+_MC_MAPS = {
+    **{f"shear-d{d}": (shear_map(0.3, d=d), d) for d in (2, 3)},
+    **{f"affine-d{d}": (AffineMap(*_AFFINE[d]), d) for d in (1, 2, 3)},
+    **{f"stretch-d{d}": (two_region_stretch(1.0, 0.3, 0.2, 1.5, d=d), d)
+       for d in (1, 2)},
+    **{f"bump{amp}-d{d}": (RadialBump([0.4] * d, amp, 0.7), d)
+       for amp in (-0.6, 0.8, 2.2) for d in (1, 2, 3)},
+}
+
+
+class TestBlockedMonteCarlo:
+    """image_volume's blocked Monte-Carlo branch against the branch that
+    drew every sample and every grid point in one array, field for field."""
+
+    @pytest.mark.parametrize("name, budget", [
+        *itertools.product(_MC_MAPS, [1, 2, _B - 1, _B, _B + 1, 2 * _B + 1,
+                                      3 * _B + 17]),
+        # the budgets above leave the d >= 2 grids in one slab; these split them
+        ("shear-d2", 1_000_000), ("affine-d2", 1_000_000), ("bump0.8-d2", 300_000),
+        ("affine-d3", 600_000), ("shear-d3", 600_000)])
+    def test_matches_reference(self, name, budget):
+        h, d = _MC_MAPS[name]
+        box = [(0.1, 0.6)] * d
+        for seed in (0, 3):
+            assert image_volume(h, box, mode="monte_carlo", budget=budget,
+                                seed=seed) == reference_image_volume(h, box, budget, seed)
+
+    def test_memory_does_not_grow_with_budget(self):
+        tracemalloc.start()
+        try:
+            image_volume(shear_map(0.3), [(0, 0.25), (0, 0.25)],
+                         mode="monte_carlo", budget=4_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestVolumeDiff:

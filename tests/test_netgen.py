@@ -155,6 +155,35 @@ class TestSerialization:
         back = PointCloud.from_netf(blob)
         assert np.array_equal(cloud.points, back.points)
 
+    def test_csv_skips_comments_blank_lines_and_one_header(self):
+        text = "# tool: netlab\n\nx0,x1\n0.25,1.5\n\n# note\n 2.0 , -3.125 \n"
+        back = PointCloud.from_csv(text)
+        assert np.array_equal(back.points, [[0.25, 1.5], [2.0, -3.125]])
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n0,0\n0,1x\n", "line 3: cannot parse '0,1x'"),
+        ("0,1x\n0,0\n", "line 1: cannot parse"),
+        ("x,y\n\nx,y\n0,0\n", "line 3: cannot parse 'x,y'"),
+        ("0,0\n# c\n1,2,3\n", "line 3: 3 columns, expected 2"),
+        ("0,0\n1,nan\n", "line 2: non-finite"),
+        ("x\n\n-inf\n", "line 3: non-finite"),
+    ], ids=["bad-row", "bad-first-row", "second-header", "column-count",
+            "nan", "inf"])
+    def test_csv_rejects_bad_rows_naming_the_line(self, text, message):
+        with pytest.raises(ConfigurationError, match=message):
+            PointCloud.from_csv(text)
+
+    def test_netf_rejects_a_size_off_its_header_and_non_finite(self):
+        blob = PointCloud(np.zeros((3, 2))).to_netf()
+        with pytest.raises(ConfigurationError, match="truncated in its header"):
+            PointCloud.from_netf(blob[:11])
+        with pytest.raises(ConfigurationError, match="holds 47 data bytes; its header promises 48"):
+            PointCloud.from_netf(blob[:-1])
+        with pytest.raises(ConfigurationError, match="holds 49 data bytes"):
+            PointCloud.from_netf(blob + b"\0")
+        with pytest.raises(ConfigurationError, match="point 1: non-finite"):
+            PointCloud.from_netf(blob[:28] + np.array([np.inf]).tobytes() + blob[36:])
+
     def test_netf_rejects_bad_magic(self):
         with pytest.raises(ConfigurationError):
             PointCloud.from_netf(b"XXXX" + b"\0" * 16)

@@ -1,9 +1,11 @@
 """Command-line entry point wiring the modules into reproducible runs.
 
 Every run resolves its configuration (JSON config file, overridden by CLI
-flags), stamps outputs with the tool version, a hash of the resolved
-configuration and the seed, and writes files atomically.  Reruns with the
-same configuration and seed are byte-identical.
+flags) through one command table, which gives each command's handler and each
+flag's type and default; the resolved configuration holds every flag of the
+command, typed, with its default filled in.  Outputs are stamped with the
+tool version, a hash of that configuration and the seed, and written
+atomically.  Reruns with the same configuration and seed are byte-identical.
 
 Exit codes: 0 success, 1 an invariant check failed, 2 configuration error.
 """
@@ -121,33 +123,62 @@ def _points_svg(points, window, scale=800.0):
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# spec parsers: each raises a netlab error naming the spec it cannot parse
 # ---------------------------------------------------------------------------
 
-def _parse_map(spec: str):
+def _read(path: str, binary: bool = False):
+    """The contents of an input file, or a ConfigurationError naming it."""
+    try:
+        with open(path, "rb" if binary else "r") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path!r}: {exc}") from None
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: not JSON ({exc})") from None
+
+
+def _parse_map(spec: str, d: int | None = None):
     """Map specs: identity:d | affine:d:a11,a12,..[,b..] | shear:s |
-    radial-bump:cx,..,amp,width | stretch:c,start,width,slope[,d]."""
+    radial-bump:cx,..,amp,width | stretch:c,start,width,slope[,d].  A given
+    ``d`` is the dimension the map must have; a stretch moves only the first
+    coordinate, so without its own ``d`` it takes this one."""
     kind, _, rest = spec.partition(":")
     if kind == "identity":
-        return G.identity_map(int(rest) if rest else 2)
-    if kind == "affine":
-        dpart, _, coeffs = rest.partition(":")
-        d = int(dpart)
-        vals = [float(v) for v in coeffs.split(",")]
-        if d < 1 or len(vals) not in (d * d, d * d + d):
-            raise ConfigurationError(f"cannot parse map spec {spec!r}")
-        A = np.array(vals[: d * d]).reshape(d, d)
-        b = np.array(vals[d * d:]) if len(vals) > d * d else None
-        return G.AffineMap(A, b)
-    vals = [float(v) for v in rest.split(",")] if rest else []
-    if kind == "shear" and len(vals) == 1:
-        return G.shear_map(vals[0])
-    if kind == "radial-bump" and len(vals) >= 3:
-        return G.RadialBump(vals[:-2], vals[-2], vals[-1])
-    if kind == "stretch" and len(vals) in (4, 5):
-        d = int(vals[4]) if len(vals) > 4 else 1
-        return G.two_region_stretch(vals[0], vals[1], vals[2], vals[3], d=d)
-    raise ConfigurationError(f"cannot parse map spec {spec!r}")
+        dpart, rest = rest or "2", ""
+    elif kind == "affine":
+        dpart, _, rest = rest.partition(":")
+    else:
+        dpart = "1"
+    try:
+        dim = int(dpart)
+        vals = [float(v) for v in rest.split(",")] if rest else []
+    except ValueError:
+        raise ConfigurationError(f"cannot parse map spec {spec!r}") from None
+    h = None
+    if dim < 1 or not all(map(math.isfinite, vals)):
+        pass
+    elif kind == "identity":
+        h = G.identity_map(dim)
+    elif kind == "affine" and len(vals) in (dim * dim, dim * dim + dim):
+        A = np.array(vals[: dim * dim]).reshape(dim, dim)
+        h = G.AffineMap(A, np.array(vals[dim * dim:]) if len(vals) > dim * dim else None)
+    elif kind == "shear" and len(vals) == 1:
+        h = G.shear_map(vals[0])
+    elif kind == "radial-bump" and len(vals) >= 3:
+        h = G.RadialBump(vals[:-2], vals[-2], vals[-1])
+    elif kind == "stretch" and (len(vals) == 4 or len(vals) == 5 and vals[4] >= 1
+                                and vals[4].is_integer()):
+        h = G.two_region_stretch(*vals[:4], d=int(vals[4]) if len(vals) == 5 else d or 1)
+    if h is None:
+        raise ConfigurationError(f"cannot parse map spec {spec!r}")
+    if d is not None and h.d != d:
+        raise ConfigurationError(f"map spec {spec!r} is {h.d}-dimensional, not {d}")
+    return h
 
 
 def _fraction(text) -> Fraction:
@@ -158,11 +189,17 @@ def _fraction(text) -> Fraction:
         raise ConfigurationError(f"not a rational number: {text!r}") from None
 
 
+def _float_list(text: str, flag: str) -> list:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"--{flag}: not a comma-separated list of numbers: {text!r}") from None
+
+
 def _cube(a) -> list:
     """The cube of the net commands: ``--corner`` plus ``--side`` per axis."""
-    corner = [_fraction(v) for v in str(a.get("corner", "0,0")).split(",")]
-    side = _fraction(a["side"])
-    return [(c, c + side) for c in corner]
+    return [(c, c + a.side) for c in map(_fraction, a.corner.split(","))]
 
 
 def _parse_rho(spec: str):
@@ -170,8 +207,7 @@ def _parse_rho(spec: str):
     if kind == "const":
         return D.ConstantDensity(_fraction(rest))
     if kind == "chessboard":
-        with open(rest) as fh:
-            doc = json.load(fh)  # as the chessboard command writes it
+        doc = _read_json(rest)  # as the chessboard command writes it
         try:
             return D.ChessboardDensity.from_json(doc["result"]["density"])
         except (KeyError, TypeError) as exc:
@@ -184,38 +220,43 @@ def _parse_window(spec: str, d: int = 2):
     parts = spec.split(",")
     if len(parts) == 1:
         parts = parts * d
-    out = []
-    for p in parts:
-        lo, _, hi = p.partition(":")
-        out.append((float(lo), float(hi)))
-    return out
+    try:
+        return [(float(lo), float(hi)) for lo, _, hi in (p.partition(":") for p in parts)]
+    except ValueError:
+        raise ConfigurationError(f"cannot parse window spec {spec!r}") from None
 
 
 def _parse_schedule(spec: str):
-    counts = []
-    for part in spec.split(","):
-        n, _, m = part.partition("x")
-        counts.append((int(n), int(m)))
-    return tuple(counts)
+    try:
+        return tuple((int(n), int(m))
+                     for n, _, m in (part.partition("x") for part in spec.split(",")))
+    except ValueError:
+        raise ConfigurationError(f"cannot parse schedule spec {spec!r}") from None
 
 
 def _load_points(path: str) -> NG.PointCloud:
     if path.endswith(".netf"):
-        with open(path, "rb") as fh:
-            return NG.PointCloud.from_netf(fh.read())
-    with open(path) as fh:
-        return NG.PointCloud.from_csv(fh.read())
+        return NG.PointCloud.from_netf(_read(path, binary=True))
+    return NG.PointCloud.from_csv(_read(path))
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (payload, rows or None, columns, svg, failed)
+# command handlers: each reads its typed flags and returns an _Outcome
 # ---------------------------------------------------------------------------
+
+class _Outcome:
+    """A command's result document, its CSV rows and columns (or None), the
+    other files it writes under ``--out`` by extension, and whether one of
+    its invariant checks failed."""
+
+    def __init__(self, document, rows=None, columns=None, files=None, failed=False):
+        self.document, self.rows, self.columns = document, rows, columns
+        self.files, self.failed = files or {}, failed
+
 
 def _cmd_moduli_check(a):
-    m = parse_modulus(a["modulus"])
-    rep = check_class_M(m, int(a.get("grid_size", 64)),
-                        float(a.get("tolerance", 1e-12)))
-    return _jsonable(rep), None, None, None, not rep.all_pass
+    rep = check_class_M(parse_modulus(a.modulus), a.grid_size, a.tolerance)
+    return _Outcome(_jsonable(rep), failed=not rep.all_pass)
 
 
 def _exp_or_text(log_value):
@@ -229,13 +270,12 @@ def _exp_or_text(log_value):
 
 
 def _cmd_params(a):
-    m = parse_modulus(a["modulus"])
-    d, eps, c = int(a["d"]), float(a["eps"]), float(a["c"])
-    max_levels = int(a.get("max_levels", 48))
+    m = parse_modulus(a.modulus)
+    d, eps, c = a.d, a.eps, a.c
     if not (0.0 < eps < 1.0):
         raise ConfigurationError(f"eps must lie in (0,1), got {eps}")
-    cert = P.certify_r(d, m, eps, c, max_levels) if a.get("certify", True) else None
-    trace = cert.trace if cert else P.param_sequence(d, m, eps, c, max_levels)
+    cert = P.certify_r(d, m, eps, c, a.max_levels) if a.certify else None
+    trace = cert.trace if cert else P.param_sequence(d, m, eps, c, a.max_levels)
     rows, cols = [], ["i", "log_c_i", "N_i", "M_i", "log_ell_i", "upsilon_i"]
     for rec in trace.levels:
         ups = _exp_or_text(P.upsilon_log(d, m, eps, rec.log_sidelength))
@@ -249,49 +289,40 @@ def _cmd_params(a):
         summary["r"] = cert.r
         summary["r_mode"] = cert.mode
         # kappa reuses cert unless L*sqrt(k) > 1 rescales the level sequence
-        m_bar = P.rescaled_modulus(m, float(a.get("L", 1.0)), int(a.get("k", 1)))
-        kappa_cert = cert if m_bar is m else P.certify_r(d, m_bar, eps, c, max_levels)
+        m_bar = P.rescaled_modulus(m, a.L, a.k)
+        kappa_cert = cert if m_bar is m else P.certify_r(d, m_bar, eps, c, a.max_levels)
         summary["kappa"] = P.kappa_from_certificate(kappa_cert, m)
-    return summary, rows, cols, None, False
+    return _Outcome(summary, rows, cols)
 
 
-def _make_schedule(a):
-    if a.get("schedule"):
-        return D.FamilySchedule(c=_fraction(a["c"]),
-                                counts=_parse_schedule(a["schedule"]))
-    m = parse_modulus(a["modulus"])
-    trace = P.param_sequence(int(a["d"]), m, float(a["eps"]), float(a["c"]),
-                             int(a.get("levels", 3)))
-    return D.schedule_from_trace(trace, int(a.get("levels", 3)))
+def _families(a):
+    """The nested family stack of the families and chessboard commands."""
+    if a.schedule is not None:
+        sched = D.FamilySchedule(c=a.c, counts=_parse_schedule(a.schedule))
+    elif a.modulus is None or a.eps is None:
+        raise ConfigurationError("give --schedule, or --modulus and --eps")
+    else:
+        trace = P.param_sequence(a.d, parse_modulus(a.modulus), a.eps, a.c, a.levels)
+        sched = D.schedule_from_trace(trace, a.levels)
+    return D.build_nested_families(sched, d=a.d, levels=a.levels,
+                                   offsets=a.offsets, seed=a.seed)
 
 
 def _cmd_families(a):
-    d = int(a["d"])
-    sched = _make_schedule(a)
-    fams = D.build_nested_families(
-        sched, d=d, levels=int(a.get("levels", 3)),
-        offsets=a.get("offsets", "zero"), seed=a.get("seed"))
-    report = D.nesting_measure_report(fams, d=d)
+    fams = _families(a)
+    report = D.nesting_measure_report(fams, d=a.d)
     payload = {
         "families": [f.to_json() for f in fams],
         "nesting": _jsonable(report),
     }
-    svg = _families_svg(fams) if d == 2 else None
-    return payload, None, None, svg, not report.passed
+    files = {".svg": _families_svg(fams)} if a.d == 2 else {}
+    return _Outcome(payload, files=files, failed=not report.passed)
 
 
 def _cmd_chessboard(a):
-    d = int(a["d"])
-    sched = _make_schedule(a)
-    fams = D.build_nested_families(
-        sched, d=d, levels=int(a.get("levels", 3)),
-        offsets=a.get("offsets", "zero"), seed=a.get("seed"))
-    delta_div = int(a.get("delta_div", 100))
-    if delta_div < 1:
-        raise ConfigurationError(f"delta-div must be >= 1, got {delta_div}")
-    rho = D.chessboard_psi(fams, xi=_fraction(a.get("xi", "1/10")),
-                           smoothing_delta=fams[-1].lam / delta_div,
-                           base=_fraction(a["base"]) if a.get("base") else None)
+    fams = _families(a)
+    rho = D.chessboard_psi(fams, xi=a.xi, smoothing_delta=fams[-1].lam / a.delta_div,
+                           base=a.base)
     gaps = rho.check_property2()
     payload = {
         "density": rho.to_json(),
@@ -299,37 +330,38 @@ def _cmd_chessboard(a):
         "property2_min_gap": str(min(g for *_, g in gaps)),
         "pairs_checked": len(gaps),
     }
-    svg = _families_svg(fams) if d == 2 else None
-    return payload, None, None, svg, not payload["property1"]
+    files = {".svg": _families_svg(fams)} if a.d == 2 else {}
+    return _Outcome(payload, files=files, failed=not payload["property1"])
 
 
 def _cmd_net_build(a):
-    rho = _parse_rho(a["rho"])
-    res = NG.construct_net_cube(rho, _cube(a), int(a["m"]))
+    res = NG.construct_net_cube(_parse_rho(a.rho), _cube(a), a.m)
+    cloud = res.cloud
     payload = {
-        "points": len(res.cloud),
+        "points": len(cloud),
         "empty_cells": [list(t) for t in res.empty_cells],
         "cells": [{"index": list(c.index), "mass": str(c.mass), "n": c.n}
                   for c in res.cells],
     }
-    rows = [[float(v) for v in p] for p in res.cloud.points]
-    cols = [f"x{k}" for k in range(res.cloud.d)]
-    svg = _points_svg(res.cloud.points, res.cloud.window) if res.cloud.d == 2 and len(res.cloud) else None
-    return payload, rows, cols, svg, False
+    files = {}
+    if cloud.d == 2 and len(cloud):
+        files[".svg"] = _points_svg(cloud.points, cloud.window)
+    if a.binary:
+        files[".netf"] = cloud.to_netf()
+    return _Outcome(payload, cloud.points.tolist(), [f"x{k}" for k in range(cloud.d)],
+                    files)
 
 
 def _cmd_net_audit(a):
-    cloud = _load_points(a["points"])
-    window = _parse_window(a["window"], cloud.d) if a.get("window") else None
-    audit = NG.audit_net(cloud, window=window,
-                         grid_resolution=int(a.get("resolution", 256)))
-    return _jsonable(audit), None, None, None, False
+    cloud = _load_points(a.points)
+    window = _parse_window(a.window, cloud.d) if a.window is not None else None
+    return _Outcome(_jsonable(NG.audit_net(cloud, window=window,
+                                           grid_resolution=a.resolution)))
 
 
 def _cmd_net_discrepancy(a):
-    rho = _parse_rho(a["rho"])
-    res = NG.construct_net_cube(rho, _cube(a), int(a["m"]))
-    rep = NG.discrepancy_report(res)
+    rho = _parse_rho(a.rho)
+    rep = NG.discrepancy_report(NG.construct_net_cube(rho, _cube(a), a.m))
     payload = {
         "per_cell": [{"index": list(i), "discrepancy": str(v)} for i, v in rep.per_cell],
         "max_abs": str(rep.max_abs),
@@ -337,215 +369,274 @@ def _cmd_net_discrepancy(a):
         "never_overshoots": rep.never_overshoots,
         "within_bound": rep.within_bound,
     }
-    return payload, None, None, None, not rep.passed
+    return _Outcome(payload, failed=not rep.passed)
 
 
-def _cmd_distort(a):
-    X = _load_points(a["x"]).points
-    Y = _load_points(a["y"]).points
-    if a["variant"] == "exact":
-        rep = DT.min_bilip_exact(X, Y, node_limit=int(a.get("node_limit", 5_000_000)))
-        if rep.method != "exact":
-            print("netlab: warning: node limit reached; bilip is a heuristic "
-                  "upper bound", file=sys.stderr)
-    else:
-        rep = DT.min_bilip_heuristic(X, Y, seed=int(a.get("seed") or 0),
-                                     restarts=int(a.get("restarts", 8)))
-    return _jsonable(rep), None, None, None, False
+def _cmd_distort_exact(a):
+    X, Y = _load_points(a.x).points, _load_points(a.y).points
+    rep = DT.min_bilip_exact(X, Y, node_limit=a.node_limit)
+    if rep.method != "exact":
+        print("netlab: warning: node limit reached; bilip is a heuristic "
+              "upper bound", file=sys.stderr)
+    return _Outcome(_jsonable(rep))
+
+
+def _cmd_distort_heuristic(a):
+    X, Y = _load_points(a.x).points, _load_points(a.y).points
+    return _Outcome(_jsonable(DT.min_bilip_heuristic(X, Y, seed=a.seed,
+                                                     restarts=a.restarts)))
 
 
 def _cmd_profile(a):
-    rho = _parse_rho(a["rho"])
-    scales = [float(v) for v in str(a["scales"]).split(",")]
-    modulus = parse_modulus(a["modulus"]) if a.get("modulus") else None
-    rows_data = DT.distortion_growth_profile(
-        rho, scales, modulus=modulus, m_cells=int(a.get("m", 2)),
-        seed=int(a.get("seed") or 0))
+    rho = _parse_rho(a.rho)
+    scales = _float_list(a.scales, "scales")
+    modulus = parse_modulus(a.modulus) if a.modulus is not None else None
+    rows_data = DT.distortion_growth_profile(rho, scales, modulus=modulus,
+                                             m_cells=a.m, seed=a.seed)
     cols = ["R", "n_points", "bilip_upper", "diameter_lower", "displacement",
             "bi_l_omega"]
     rows = [[r.R, r.n_points, r.bilip_upper, r.diameter_lower, r.displacement,
              r.bi_l_omega if r.bi_l_omega is not None else ""] for r in rows_data]
-    return {"rows": _jsonable(rows_data)}, rows, cols, None, False
+    return _Outcome({"rows": _jsonable(rows_data)}, rows, cols)
 
 
 def _cmd_feige_ls(a):
-    S = _load_points(a["s"]).points
-    val = DT.feige_ls(S, int(a["n"]), int(a["d"]))
-    return {"L_S": val}, None, None, None, False
+    return _Outcome({"L_S": DT.feige_ls(_load_points(a.s).points, a.n, a.d)})
 
 
 def _cmd_feige_cn(a):
-    window = _parse_window(a["window"], int(a["d"]))
-    samples = int(a["samples"]) if a.get("samples") is not None else None
     val, best, exact = DT.feige_cn_window(
-        int(a["n"]), int(a["d"]), window,
-        budget=int(a.get("budget", 2_000_000)), samples=samples,
-        seed=int(a.get("seed") or 0))
-    return {"C_n": val, "maximizer": [list(p) for p in best],
-            "exact": exact}, None, None, None, False
+        a.n, a.d, _parse_window(a.window, a.d), budget=a.budget,
+        samples=a.samples, seed=a.seed)
+    return _Outcome({"C_n": val, "maximizer": [list(p) for p in best], "exact": exact})
 
 
 def _cmd_dichotomy(a):
-    h = _parse_map(a["map"])
-    m = parse_modulus(a["modulus"])
-    d = int(a.get("d", 1))
-    c, N = float(a["c"]), int(a["n"])
-    eps = float(a["eps"])
-    M = int(a["m"]) if a.get("m") else P.big_m(N, d, m, eps)
-    phi = math.exp(P.phi_log(d, m, eps))
-    rep1 = G.check_statement1(h, c, N, eps, m, d=d,
-                              test_grid=int(a.get("test_grid", 5)))
+    h = _parse_map(a.map, a.d)
+    m = parse_modulus(a.modulus)
+    M = a.m if a.m is not None else P.big_m(a.n, a.d, m, a.eps)
+    phi = math.exp(P.phi_log(a.d, m, a.eps))
+    rep1 = G.check_statement1(h, a.c, a.n, a.eps, m, d=a.d, test_grid=a.test_grid)
     out = {"statement1": {"holds": rep1.holds, "omega_size": len(rep1.omega),
                           "threshold": rep1.threshold}}
     if not rep1.holds:
-        rep2 = G.check_statement2(h, c, N, M, phi, d=d)
+        rep2 = G.check_statement2(h, a.c, a.n, M, phi, d=a.d)
         out["statement2"] = _jsonable(rep2)
         out["branch"] = 2 if rep2.z is not None else None
     else:
         out["branch"] = 1
-    return out, None, None, None, False
+    return _Outcome(out)
 
 
 def _cmd_b1_trace(a):
-    h = _parse_map(a["map"])
-    m = parse_modulus(a["modulus"])
-    tr = G.run_algorithm_b1(h, int(a.get("d", 1)), m, float(a["eps"]),
-                            float(a["c"]), max_iters=int(a.get("max_iters", 6)))
+    h = _parse_map(a.map, a.d)
+    tr = G.run_algorithm_b1(h, a.d, parse_modulus(a.modulus), a.eps, a.c,
+                            max_iters=a.max_iters)
     payload = {
         "p": tr.p, "branch": tr.branch,
         "offsets": [_jsonable(z) for z in tr.offsets],
         "bi_l_omega": tr.bi_l_omega,
         "modulus_bound_ok": tr.modulus_bound_ok,
     }
-    return payload, None, None, None, False
+    return _Outcome(payload)
 
 
 def _cmd_volume_check(a):
-    h = _parse_map(a["map"])
-    m = parse_modulus(a["modulus"])
+    h = _parse_map(a.map, a.d)
     rep = G.volume_diff_check(
-        h, float(a["c"]), int(a["n"]), int(a.get("slab", 1)), m,
-        float(a["eps"]), d=int(a.get("d", 2)), mode=a.get("mode", "auto"),
-        budget=int(a.get("budget", 200_000)), seed=int(a.get("seed") or 0))
-    return _jsonable(rep), None, None, None, rep.passed is False
+        h, a.c, a.n, a.slab, parse_modulus(a.modulus), a.eps, d=a.d, mode=a.mode,
+        budget=a.budget, seed=a.seed)
+    return _Outcome(_jsonable(rep), failed=rep.passed is False)
 
 
 def _cmd_symdiff(a):
-    f = _parse_map(a["f"])
-    g = _parse_map(a["g"])
-    rep = G.symdiff_bound_check(f, g, grid_res=int(a.get("resolution", 64)))
-    return _jsonable(rep), None, None, None, rep.violations > 0
+    rep = G.symdiff_bound_check(_parse_map(a.f, 2), _parse_map(a.g, 2),
+                                grid_res=a.resolution)
+    return _Outcome(_jsonable(rep), failed=rep.violations > 0)
 
 
 def _cmd_boundary_measure(a):
-    f = _parse_map(a["map"])
-    eps_list = [float(v) for v in str(a["eps_list"]).split(",")]
+    f = _parse_map(a.map, 2)
     rows_data = G.boundary_neighborhood_measure(
-        f, eps_list, grid_res=int(a.get("resolution", 256)))
+        f, _float_list(a.eps_list, "eps-list"), grid_res=a.resolution)
     cols = ["eps", "measure", "raster_slack"]
     rows = [[r.eps, r.measure, r.raster_slack] for r in rows_data]
-    return {"rows": _jsonable(rows_data)}, rows, cols, None, False
+    return _Outcome({"rows": _jsonable(rows_data)}, rows, cols)
 
 
-_HANDLERS = {
-    "moduli-check": _cmd_moduli_check,
-    "params": _cmd_params,
-    "families": _cmd_families,
-    "chessboard": _cmd_chessboard,
-    "net-build": _cmd_net_build,
-    "net-audit": _cmd_net_audit,
-    "net-discrepancy": _cmd_net_discrepancy,
-    "distort-exact": _cmd_distort,
-    "distort-heuristic": _cmd_distort,
-    "distort-profile": _cmd_profile,
-    "feige-ls": _cmd_feige_ls,
-    "feige-cn": _cmd_feige_cn,
-    "dichotomy": _cmd_dichotomy,
-    "b1-trace": _cmd_b1_trace,
-    "volume-check": _cmd_volume_check,
-    "symdiff": _cmd_symdiff,
-    "boundary-measure": _cmd_boundary_measure,
+# ---------------------------------------------------------------------------
+# the command table: each command's handler and its flags' types and defaults
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()  # the default of a flag that must be given
+
+
+class _Flag:
+    """A flag's type (int, float, bool, str or _fraction), its default (None:
+    optional, with no value) and its smallest admitted value, if any."""
+
+    def __init__(self, type, default=_REQUIRED, low=None):
+        self.type, self.default, self.low = type, default, low
+
+
+# the JSON value kinds each flag type takes; command-line values are strings
+_ACCEPTS = {int: (int, str), float: (int, float, str), bool: (bool,),
+            str: (str,), _fraction: (int, float, str)}
+
+# flag groups that several commands share
+_SEED = _Flag(int, 0)
+_FAMILY_GROUP = {"d": _Flag(int), "modulus": _Flag(str, None),
+                 "eps": _Flag(float, None), "c": _Flag(_fraction),
+                 "levels": _Flag(int, 3), "offsets": _Flag(str, "zero"),
+                 "schedule": _Flag(str, None), "seed": _SEED}
+_CUBE_GROUP = {"rho": _Flag(str), "corner": _Flag(str, "0,0"),
+               "side": _Flag(_fraction), "m": _Flag(int)}
+_PAIR_GROUP = {"x": _Flag(str), "y": _Flag(str)}
+_MAP_GROUP = {"map": _Flag(str), "modulus": _Flag(str), "eps": _Flag(float),
+              "c": _Flag(float)}
+
+_COMMANDS = {
+    "moduli-check": (_cmd_moduli_check, {
+        "modulus": _Flag(str), "grid_size": _Flag(int, 64),
+        "tolerance": _Flag(float, 1e-12)}),
+    "params": (_cmd_params, {
+        "d": _Flag(int), "modulus": _Flag(str), "eps": _Flag(float),
+        "c": _Flag(float), "max_levels": _Flag(int, 48),
+        "certify": _Flag(bool, True), "L": _Flag(float, 1.0), "k": _Flag(int, 1, 0)}),
+    "families": (_cmd_families, _FAMILY_GROUP),
+    "chessboard": (_cmd_chessboard, {
+        **_FAMILY_GROUP, "xi": _Flag(_fraction, Fraction(1, 10)),
+        "delta_div": _Flag(int, 100, 1), "base": _Flag(_fraction, None)}),
+    "net-build": (_cmd_net_build, {**_CUBE_GROUP, "binary": _Flag(bool, False)}),
+    "net-audit": (_cmd_net_audit, {
+        "points": _Flag(str), "window": _Flag(str, None),
+        "resolution": _Flag(int, 256, 1)}),
+    "net-discrepancy": (_cmd_net_discrepancy, _CUBE_GROUP),
+    "distort-exact": (_cmd_distort_exact, {
+        **_PAIR_GROUP, "node_limit": _Flag(int, 5_000_000)}),
+    "distort-heuristic": (_cmd_distort_heuristic, {
+        **_PAIR_GROUP, "restarts": _Flag(int, 8), "seed": _SEED}),
+    "distort-profile": (_cmd_profile, {
+        "rho": _Flag(str), "scales": _Flag(str), "modulus": _Flag(str, None),
+        "m": _Flag(int, 2), "seed": _SEED}),
+    "feige-ls": (_cmd_feige_ls, {"s": _Flag(str), "n": _Flag(int), "d": _Flag(int)}),
+    "feige-cn": (_cmd_feige_cn, {
+        "n": _Flag(int), "d": _Flag(int, low=1), "window": _Flag(str),
+        "budget": _Flag(int, 2_000_000), "samples": _Flag(int, None), "seed": _SEED}),
+    "dichotomy": (_cmd_dichotomy, {
+        **_MAP_GROUP, "n": _Flag(int), "m": _Flag(int, None), "d": _Flag(int, 1),
+        "test_grid": _Flag(int, 5, 1)}),
+    "b1-trace": (_cmd_b1_trace, {
+        **_MAP_GROUP, "d": _Flag(int, 1), "max_iters": _Flag(int, 6)}),
+    "volume-check": (_cmd_volume_check, {
+        **_MAP_GROUP, "n": _Flag(int), "slab": _Flag(int, 1), "d": _Flag(int, 2),
+        "mode": _Flag(str, "auto"), "budget": _Flag(int, 200_000), "seed": _SEED}),
+    "symdiff": (_cmd_symdiff, {
+        "f": _Flag(str), "g": _Flag(str), "resolution": _Flag(int, 64, 1)}),
+    "boundary-measure": (_cmd_boundary_measure, {
+        "map": _Flag(str), "eps_list": _Flag(str), "resolution": _Flag(int, 256, 1)}),
 }
 
-_FLAGS = {
-    "moduli-check": ["modulus", "grid_size", "tolerance"],
-    "params": ["d", "modulus", "eps", "c", "max_levels", "certify", "L", "k"],
-    "families": ["d", "modulus", "eps", "c", "levels", "offsets", "schedule"],
-    "chessboard": ["d", "modulus", "eps", "c", "levels", "offsets", "schedule",
-                   "xi", "delta_div", "base"],
-    "net-build": ["rho", "corner", "side", "m", "binary"],
-    "net-audit": ["points", "window", "resolution"],
-    "net-discrepancy": ["rho", "corner", "side", "m"],
-    "distort-exact": ["x", "y", "node_limit"],
-    "distort-heuristic": ["x", "y", "restarts"],
-    "distort-profile": ["rho", "scales", "modulus", "m"],
-    "feige-ls": ["s", "n", "d"],
-    "feige-cn": ["n", "d", "window", "budget", "samples"],
-    "dichotomy": ["map", "modulus", "c", "n", "m", "eps", "d", "test_grid"],
-    "b1-trace": ["map", "modulus", "eps", "c", "d", "max_iters"],
-    "volume-check": ["map", "modulus", "c", "n", "slab", "eps", "d", "mode", "budget"],
-    "symdiff": ["f", "g", "resolution"],
-    "boundary-measure": ["map", "eps_list", "resolution"],
-}
-
-_BOOL_FLAGS = {"certify", "binary"}
+# run options: where the configuration comes from and where output goes
+_RUN_OPTIONS = ("command", "config", "out", "format")
 
 # errors in what the caller asked for: exit 2
-_CONFIG_ERRORS = (ConfigurationError, DomainError, RangeError, BudgetError,
-                  FileNotFoundError, ValueError)
+_CONFIG_ERRORS = (ConfigurationError, DomainError, RangeError, BudgetError)
+
+
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _typed(name: str, flag: _Flag, value):
+    """A command-line string or config-file JSON value as the flag's type."""
+    if type(value) in _ACCEPTS[flag.type]:
+        try:
+            typed = flag.type(value)
+        except (ValueError, ConfigurationError):
+            pass
+        else:
+            if flag.low is None or typed >= flag.low:
+                return typed
+            raise ConfigurationError(
+                f"{_option(name)} must be >= {flag.low}, got {typed}")
+    raise ConfigurationError(
+        f"{_option(name)}: expected {flag.type.__name__.strip('_')}, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", help="output path prefix (writes .json/.csv/.svg)")
-    common.add_argument("--format", choices=["csv", "json"], default="json",
-                        help="stdout format when --out is not given")
+    """Run options are accepted before and after the command; the copies
+    after it default to SUPPRESS so they never overwrite the ones before."""
     parser = argparse.ArgumentParser(
-        prog="netlab", parents=[common],
+        prog="netlab",
         description="moduli, tiled families, nets and distortion experiments")
     sub = parser.add_subparsers(dest="command")
-    for name, flags in _FLAGS.items():
-        p = sub.add_parser(name, parents=[common])
-        for flag in flags:
-            if flag in _BOOL_FLAGS:
-                p.add_argument(f"--{flag.replace('_', '-')}", default=None,
-                               action=argparse.BooleanOptionalAction)
-            else:
-                p.add_argument(f"--{flag.replace('_', '-')}", default=None)
+    commands = {name: sub.add_parser(name) for name in _COMMANDS}
+    for p in (parser, *commands.values()):
+        top = p is parser
+        p.add_argument("--config", default=None if top else argparse.SUPPRESS,
+                       help="JSON config file; flags override it")
+        p.add_argument("--out", default=None if top else argparse.SUPPRESS,
+                       help="output path prefix (writes .json/.csv/.svg/.netf)")
+        p.add_argument("--format", choices=["csv", "json"],
+                       default="json" if top else argparse.SUPPRESS,
+                       help="stdout format when --out is not given")
+    parser.add_argument("--seed", default=argparse.SUPPRESS,
+                        help="int, default 0; seeded commands only")
+    for name, (_, flags) in _COMMANDS.items():
+        for flag, spec in flags.items():
+            default = "required" if spec.default is _REQUIRED else f"default {spec.default}"
+            commands[name].add_argument(
+                _option(flag), default=argparse.SUPPRESS,
+                action=argparse.BooleanOptionalAction if spec.type is bool else None,
+                help=f"{spec.type.__name__.strip('_')}, {default}"
+                     + ("" if spec.low is None else f", at least {spec.low}"))
     return parser
 
 
+def _read_config(path: str) -> tuple:
+    """The command and the args of a config file."""
+    config = _read_json(path)
+    if not (isinstance(config, dict) and set(config) <= {"command", "args"}
+            and isinstance(config.get("command", ""), str)
+            and isinstance(config.get("args", {}), dict)):
+        raise ConfigurationError(
+            f'{path}: not an object of a "command" string and an "args" object')
+    return config.get("command"), config.get("args", {})
+
+
 def _resolve(args: argparse.Namespace) -> tuple[str, dict]:
-    config = {}
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    command = args.command or config.get("command")
-    if not command or command not in _HANDLERS:
+    """The command and every one of its flags, typed, defaults filled in."""
+    command, given = _read_config(args.config) if args.config else (None, {})
+    command = args.command or command
+    if command not in _COMMANDS:
         raise ConfigurationError(f"no valid command given (got {command!r})")
-    resolved = dict(config.get("args", {}))
-    for flag in _FLAGS[command]:
-        val = getattr(args, flag, None)
-        if val is not None:
-            resolved[flag] = val
-    if args.seed is not None:
-        resolved["seed"] = args.seed
-    resolved.setdefault("seed", 0)
-    if command == "distort-exact":
-        resolved["variant"] = "exact"
-    if command == "distort-heuristic":
-        resolved["variant"] = "heuristic"
+    flags = _COMMANDS[command][1]
+    cli = {k: v for k, v in vars(args).items() if k not in _RUN_OPTIONS}
+    for where, values in ((args.config, given), ("command line", cli)):
+        for key in values:
+            if key not in flags:
+                raise ConfigurationError(f"{where}: {command} takes no {key!r} "
+                                         f"(it takes {', '.join(flags)})")
+    given = {**given, **cli}
+    resolved = {}
+    for name, flag in flags.items():
+        if name in given:
+            resolved[name] = _typed(name, flag, given[name])
+        elif flag.default is _REQUIRED:
+            raise ConfigurationError(f"{_option(name)} is required for {command}")
+        else:
+            resolved[name] = flag.default
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ConfigurationError(f"--out: no directory {os.path.dirname(args.out)!r}")
     return command, resolved
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         command, resolved = _resolve(args)
-        payload, rows, cols, svg, failed = _HANDLERS[command](resolved)
+        outcome = _COMMANDS[command][0](argparse.Namespace(**resolved))
     except _CONFIG_ERRORS as exc:
         print(f"netlab: configuration error: {exc}", file=sys.stderr)
         return 2
@@ -563,23 +654,20 @@ def main(argv=None) -> int:
         "config_hash": _config_hash({"command": command, "args": resolved}),
         "seed": resolved.get("seed", 0),
     }
-    doc = json.dumps({"meta": meta, "result": _jsonable(payload)},
+    doc = json.dumps({"meta": meta, "result": _jsonable(outcome.document)},
                      sort_keys=True, indent=1) + "\n"
     if args.out:
         _atomic_write(args.out + ".json", doc)
-        if rows is not None:
-            _atomic_write(args.out + ".csv", _csv_text(meta, cols, rows))
-        if svg is not None:
-            _atomic_write(args.out + ".svg", svg)
-        if command == "net-build" and resolved.get("binary"):
-            cloud = NG.PointCloud(np.array([[float(v) for v in r] for r in rows]))
-            _atomic_write(args.out + ".netf", cloud.to_netf())
+        if outcome.rows is not None:
+            _atomic_write(args.out + ".csv", _csv_text(meta, outcome.columns, outcome.rows))
+        for ext, data in outcome.files.items():
+            _atomic_write(args.out + ext, data)
     else:
-        if args.format == "csv" and rows is not None:
-            sys.stdout.write(_csv_text(meta, cols, rows))
+        if args.format == "csv" and outcome.rows is not None:
+            sys.stdout.write(_csv_text(meta, outcome.columns, outcome.rows))
         else:
             sys.stdout.write(doc)
-    if failed:
+    if outcome.failed:
         print("netlab: an invariant check failed (see output)", file=sys.stderr)
         return 1
     return 0

@@ -36,7 +36,10 @@ class AffineMap:
         self.d = self.A.shape[0]
         self.b = np.zeros(self.d) if b is None else np.asarray(b, dtype=float)
         self.domain = domain
-        self._Ainv = np.linalg.inv(self.A)
+        try:
+            self._Ainv = np.linalg.inv(self.A)
+        except np.linalg.LinAlgError:
+            raise DomainError("affine map matrix is singular") from None
 
     def __call__(self, x):
         return np.atleast_2d(x) @ self.A.T + self.b

@@ -227,14 +227,18 @@ def parse_modulus(spec: str) -> Modulus:
     """Parse CLI specs like 'identity', 'holder:0.5', 'logpow:1',
     'scaled:2:logpow:0.5'."""
     kind, *values = spec.split(":")
+    try:
+        value = float(values[0]) if values else None
+    except ValueError:
+        raise DomainError(f"cannot parse modulus spec {spec!r}") from None
     if kind == "identity" and not values:
         return identity()
     if kind == "holder" and len(values) == 1:
-        return holder(float(values[0]))
+        return holder(value)
     if kind == "logpow" and len(values) == 1:
-        return logpow(float(values[0]))
+        return logpow(value)
     if kind == "scaled" and len(values) >= 2:
-        return scaled(float(values[0]), parse_modulus(":".join(values[1:])))
+        return scaled(value, parse_modulus(":".join(values[1:])))
     raise DomainError(f"cannot parse modulus spec {spec!r}")
 
 

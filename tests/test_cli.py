@@ -39,6 +39,41 @@ _BAD_POINT_FILES = {
     "trailing-bytes.netf": _NETF + b"\0",
     "truncated-header.netf": _NETF[:10],
 }
+_PARAMS_ARGS = {"d": 1, "modulus": "identity", "eps": 0.1, "c": 0.5}
+# config files main must refuse, by file name
+_BAD_CONFIGS = {
+    "list.json": "[1]",
+    "not-json.json": "{",
+    "args-list.json": json.dumps({"command": "moduli-check", "args": [1]}),
+    "command-list.json": json.dumps({"command": ["params"]}),
+    "unknown-key.json": json.dumps({"command": "moduli-check", "args": {
+        "modulus": "logpow:0.5", "grid-size": 64}}),
+    "certify-string.json": json.dumps({"command": "params", "args": {
+        **_PARAMS_ARGS, "certify": "false"}}),
+    "d-float.json": json.dumps({"command": "params", "args": {**_PARAMS_ARGS, "d": 2.9}}),
+    "levels-float.json": json.dumps({"command": "families", "args": {
+        "d": 2, "schedule": "6x2", "c": 1, "levels": 1.7}}),
+    "seed-unseeded.json": json.dumps({"command": "params", "args": {
+        **_PARAMS_ARGS, "seed": 3}}),
+}
+# bad values that the command table refuses, and what the error names
+_BAD_VALUES = {
+    "grid-size-float": (["moduli-check", "--modulus", "logpow:1", "--grid-size", "1.5"],
+                        "--grid-size"),
+    "eps-text": (["params", "--d", "1", "--modulus", "identity", "--eps", "x",
+                  "--c", "0.5"], "--eps"),
+    "d-missing": (["params", "--modulus", "identity", "--eps", "0.1", "--c", "0.5"],
+                  "--d"),
+    "resolution-0": (["symdiff", "--f", "identity:2", "--g", "identity:2",
+                      "--resolution", "0"], "--resolution"),
+    "seed-unseeded": (["--seed", "3", "moduli-check", "--modulus", "logpow:1"], "'seed'"),
+    "config-d-float": (["--config", "d-float.json"], "--d"),
+    "config-levels-float": (["--config", "levels-float.json"], "--levels"),
+    "config-certify-string": (["--config", "certify-string.json"], "--certify"),
+    "config-seed-unseeded": (["--config", "seed-unseeded.json"], "'seed'"),
+    "config-unknown-key": (["--config", "unknown-key.json"], "'grid-size'"),
+}
+_NAMED = {tuple(argv): named for argv, named in _BAD_VALUES.values()}
 
 
 class TestExitCodes:
@@ -136,6 +171,14 @@ class TestExitCodes:
          "--c", "0.1"],
         *[["net-audit", "--points", name, "--window", "0:1"]
           for name in _BAD_POINT_FILES],
+        *[["--config", name] for name in _BAD_CONFIGS],
+        ["--config", "missing.json"],
+        ["net-audit", "--points", "."],
+        ["moduli-check", "--modulus", "logpow:1", "--out", "missing/run"],
+        ["symdiff", "--f", "identity:3", "--g", "identity:2"],
+        ["volume-check", "--map", "radial-bump:0.5,0.1,2.0", "--modulus",
+         "identity", "--c", "1", "--n", "4", "--eps", "0.5", "--d", "2"],
+        *[argv for argv, _ in _BAD_VALUES.values()],
     ], ids=["holder-no-value", "logpow-no-value", "scaled-no-value",
             "stretch-fills-window", "net-build-side-0", "net-build-side-neg",
             "net-discrepancy-side-0", "delta-div-0", "families-c-0",
@@ -144,18 +187,29 @@ class TestExitCodes:
             "b1-max-iters-0", "volume-n-0", "volume-d-0", "bump-width-0",
             "volume-budget-0", "bump-amp-above-range", "bump-amp-below-range",
             "params-holder-digit-cap", "params-holder-m-base-overflow",
-            *_BAD_POINT_FILES])
+            *_BAD_POINT_FILES, *_BAD_CONFIGS, "missing-config", "points-directory",
+            "out-missing-directory", "symdiff-map-3d", "volume-map-1d",
+            *_BAD_VALUES])
     def test_bad_flag_value_exits_two_without_traceback(self, capsys, tmp_path,
                                                         monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         for name, blob in _BAD_POINT_FILES.items():
             (tmp_path / name).write_bytes(blob)
+        for name, text in _BAD_CONFIGS.items():
+            (tmp_path / name).write_text(text)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("netlab: configuration error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        assert _NAMED.get(tuple(argv), "") in err
+
+    def test_seed_after_an_unseeded_command_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["moduli-check", "--modulus", "logpow:1", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 _VALUES = st.lists(st.sampled_from(["-1", "0", "0.5", "1", "2"]), max_size=6)
@@ -321,26 +375,110 @@ class TestOutputs:
         assert any(l.startswith("eps,measure") for l in lines)
 
 
-class TestReadmeRasterCommands:
-    @pytest.mark.parametrize("argv", [
-        ["symdiff", "--f", "identity:2", "--g", "shear:0.05", "--resolution", "64"],
-        ["boundary-measure", "--map", "identity:2", "--eps-list", "0.1,0.05,0.02",
-         "--resolution", "256"],
-        ["b1-trace", "--map", "stretch:0.5,0.15,0.0667,1.15", "--modulus",
-         "identity", "--eps", "0.1", "--c", "0.5", "--d", "1"],
-        ["volume-check", "--mode", "grid", "--map", "radial-bump:1.5,0.5,0.1,2.0",
-         "--modulus", "identity", "--c", "1", "--n", "4", "--slab", "1",
-         "--eps", "0.5", "--d", "2"],
-        ["volume-check", "--mode", "monte_carlo", "--map",
-         "radial-bump:1.5,0.5,0.1,2.0", "--modulus", "identity", "--c", "1",
-         "--n", "4", "--slab", "1", "--eps", "0.5", "--d", "2"],
-    ], ids=["symdiff", "boundary-measure", "b1-trace", "volume-check-grid",
-            "volume-check-monte-carlo"])
-    def test_runs_clean_and_reruns_byte_identical(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
+def _readme_commands():
+    """The argv of every ``netlab`` line in the README's command block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Commands:", 1)[1].split("```")[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("netlab ")]
+
+
+_README_INPUTS = {
+    "a.csv": "x,y\n0,0\n1,0.2\n2.1,0\n0,1\n1.2,1.1\n2,2\n",
+    "b.csv": "x,y\n0,0.1\n1,0\n2,0.3\n0.2,1\n1,1\n2.2,1.9\n",
+    "pts.csv": "x,y\n0,0\n1,0\n0,1\n1,1\n",
+    "net.csv": "x,y\n" + "".join(f"{i + 0.5},{j + 0.5}\n"
+                                 for i in range(10) for j in range(10)),
+}
+_VOLUME_BUMP = ["--map", "radial-bump:1.5,0.5,0.1,2.0", "--modulus", "identity",
+                "--c", "1", "--n", "4", "--slab", "1", "--eps", "0.5", "--d", "2"]
+_RUNS = {f"readme-{argv[0]}": argv for argv in _readme_commands()}
+_RUNS.update({
+    "volume-check-grid": ["volume-check", "--mode", "grid", *_VOLUME_BUMP],
+    "volume-check-monte-carlo": ["volume-check", "--mode", "monte_carlo", *_VOLUME_BUMP],
+})
+
+
+def _outputs(capsys, tmp_path, argv):
+    """Exit code, stderr, the JSON document and every output file of a run."""
+    code, out, err = run(capsys, *argv)
+    files = {}
+    if "--out" in argv:
+        prefix = argv[argv.index("--out") + 1]
+        files = {p.name: p.read_bytes() for p in sorted(tmp_path.glob(prefix + ".*"))}
+        out = files[prefix + ".json"].decode()
+    return code, err, out, files
+
+
+class TestReadmeCommands:
+    def test_every_command_is_listed(self):
+        assert len(_readme_commands()) == 17
+
+    @pytest.mark.parametrize("argv", _RUNS.values(), ids=_RUNS)
+    def test_runs_clean_and_reruns_byte_identical(self, capsys, tmp_path,
+                                                  monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        for name, text in _README_INPUTS.items():
+            (tmp_path / name).write_text(text)
+        first = _outputs(capsys, tmp_path, argv)
+        code, err, doc, _ = first
         assert code == 0, err
-        assert json.loads(out)["meta"]["command"] == argv[0]
-        assert run(capsys, *argv) == (0, out, err)
+        assert "Traceback" not in err
+        parsed = json.loads(doc)
+        assert json.dumps(parsed, sort_keys=True, indent=1) + "\n" == doc
+        assert parsed["meta"]["command"] == argv[0]
+        assert _outputs(capsys, tmp_path, argv) == first
+
+
+class TestConfigHash:
+    def test_one_computation_one_hash(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "moduli-check", "args": {
+            "modulus": "logpow:0.5", "grid_size": 64}}))
+        base = ["moduli-check", "--modulus", "logpow:0.5"]
+
+        def config_hash(*argv):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            return json.loads(out)["meta"]["config_hash"]
+
+        forms = {config_hash(*base), config_hash(*base, "--grid-size", "64"),
+                 config_hash("--config", str(cfg)),
+                 config_hash(*base, "--tolerance", "1e-12")}
+        assert len(forms) == 1
+        assert config_hash(*base, "--grid-size", "65") not in forms
+        assert config_hash("moduli-check", "--config", str(cfg),
+                           "--grid-size", "32") not in forms
+
+
+class TestRunOptions:
+    _FAMILIES = ["families", "--d", "2", "--schedule", "6x2,4x3", "--c", "1",
+                 "--levels", "2", "--offsets", "seeded-random"]
+
+    def test_run_options_work_before_and_after_the_command(self, capsys, tmp_path):
+        a, b, c = (str(tmp_path / name) for name in "abc")
+        assert run(capsys, "--seed", "3", "--out", a, *self._FAMILIES)[0] == 0
+        assert run(capsys, *self._FAMILIES, "--seed", "3", "--out", b)[0] == 0
+        assert run(capsys, "--out", c, *self._FAMILIES)[0] == 0
+        for ext in (".json", ".svg"):
+            assert Path(a + ext).read_bytes() == Path(b + ext).read_bytes()
+        assert Path(a + ".json").read_bytes() != Path(c + ".json").read_bytes()
+        assert json.loads(Path(a + ".json").read_text())["meta"]["seed"] == 3
+        argv = ["boundary-measure", "--map", "identity:2", "--eps-list", "0.1",
+                "--resolution", "16"]
+        assert run(capsys, "--format", "csv", *argv) == run(capsys, *argv, "--format", "csv")
+
+    def test_unseeded_command_meta_keeps_seed_zero(self, capsys):
+        code, out, _ = run(capsys, "moduli-check", "--modulus", "logpow:1")
+        assert code == 0
+        assert json.loads(out)["meta"]["seed"] == 0
+
+    def test_help_shows_each_flags_type_and_default(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["moduli-check", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for shown in ("str, required", "int, default 64", "float, default 1e-12"):
+            assert shown in text
 
 
 class TestConfigFile:

@@ -204,24 +204,24 @@ def nesting_measure_report(families: list[TiledFamily], d: int) -> NestingReport
     nested = True
     for i in range(len(families) - 1):
         fam, deeper = families[i], families[i + 1]
-        # inclusion: every deeper cube is covered by the union of this level
-        for t in deeper.cubes:
-            box = deeper.cube_box(t)
-            covered = sum(
-                _vol(_box_meet(box, fam.cube_box(s)) or ((Fraction(0), Fraction(0)),) * d)
-                for s in fam.cubes
-            )
-            if covered != _vol(box):
-                nested = False
+        tboxes = [deeper.cube_box(t) for t in deeper.cubes]
+        # one volume per meet of a cube S of this level with a deeper cube T:
+        # summed over T it is S's overlap, summed over S how much of T is covered
+        covered = [Fraction(0)] * len(tboxes)
         worst = Fraction(0)
         for s in fam.cubes:
             sbox = fam.cube_box(s)
             inter = Fraction(0)
-            for t in deeper.cubes:
-                mt = _box_meet(sbox, deeper.cube_box(t))
-                if mt is not None:
-                    inter += _vol(mt)
+            for k, tbox in enumerate(tboxes):
+                meet = _box_meet(sbox, tbox)
+                if meet is not None:
+                    v = _vol(meet)
+                    inter += v
+                    covered[k] += v
             worst = max(worst, inter / _vol(sbox))
+        # inclusion: every deeper cube is covered by the union of this level
+        if any(cov != _vol(tbox) for cov, tbox in zip(covered, tboxes)):
+            nested = False
         ratios.append(worst)
         N_next = len(deeper.cubes)
         bounds.append(Fraction(2 ** d, N_next))
@@ -428,9 +428,6 @@ class ChessboardDensity:
             return _sign_of(t) * float(self.xi) * ramp
         return 0.0
 
-    def value(self, x) -> float:
-        return float(self.base) + self.psi_value(x)
-
     def sup(self) -> Fraction:
         return self.base + self.xi
 
@@ -539,9 +536,6 @@ class ConstantDensity:
         self.base = Fraction(self.base)
         if self.base <= 0:
             raise DomainError("density must be positive")
-
-    def value(self, x) -> float:
-        return float(self.base)
 
     def sup(self) -> Fraction:
         return self.base

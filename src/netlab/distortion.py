@@ -78,11 +78,6 @@ class Bijection:
     def __len__(self):
         return len(self.source)
 
-    def inverse(self) -> "Bijection":
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(len(self.perm))
-        return Bijection(self.target, self.source, inv)
-
 
 @dataclass
 class DistortionReport:
@@ -479,10 +474,9 @@ def _lattice_ball(count: int, d: int) -> np.ndarray:
         radius *= 1.3
 
 
-def distortion_growth_profile(rho, scales, modulus=None, d: int = 2,
-                              m_cells: int = 2, seed: int = 0,
-                              restarts: int = 2) -> list:
-    """Per window radius R: build the net of the density on [-R, R]^d, keep
+def distortion_growth_profile(rho, scales, modulus=None, m_cells: int = 2,
+                              seed: int = 0, restarts: int = 2) -> list:
+    """Per window radius R: build the net of the density on [-R, R]^2, keep
     the points inside the ball, pair them with an equal-cardinality lattice
     ball, and run the heuristic.  Columns are an upper bound (heuristic
     value), the diameter-ratio lower bound, and the displacement of the
@@ -494,7 +488,7 @@ def distortion_growth_profile(rho, scales, modulus=None, d: int = 2,
         if R <= prev:
             raise DomainError("scales must be increasing")
         prev = R
-        res = construct_net_cube(rho, [(-R, R)] * d, m_cells)
+        res = construct_net_cube(rho, [(-R, R)] * 2, m_cells)
         pts = res.cloud.points
         keep = np.linalg.norm(pts, axis=1) <= R
         X = pts[keep]

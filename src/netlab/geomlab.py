@@ -29,13 +29,10 @@ from .params import upsilon_log
 class AffineMap:
     """x -> A x + b; exact volumes and inverses."""
 
-    kind = "affine"
-
-    def __init__(self, A, b=None, domain=None):
+    def __init__(self, A, b=None):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.d = self.A.shape[0]
         self.b = np.zeros(self.d) if b is None else np.asarray(b, dtype=float)
-        self.domain = domain
         try:
             self._Ainv = np.linalg.inv(self.A)
         except np.linalg.LinAlgError:
@@ -54,14 +51,14 @@ class AffineMap:
         return abs(float(np.linalg.det(self.A)))
 
 
-def identity_map(d, domain=None) -> AffineMap:
-    return AffineMap(np.eye(d), domain=domain)
+def identity_map(d) -> AffineMap:
+    return AffineMap(np.eye(d))
 
 
-def shear_map(s, d=2, domain=None) -> AffineMap:
+def shear_map(s, d=2) -> AffineMap:
     A = np.eye(d)
     A[0, 1] = s
-    return AffineMap(A, domain=domain)
+    return AffineMap(A)
 
 
 def _in_box(points, box):
@@ -74,6 +71,7 @@ def _in_box(points, box):
 
 _BISECT_STEPS = 100
 _B1_GRID_CHECK = 9  # samples per axis of algorithm B1's modulus bound check
+_INJECTIVITY_GRID = 12  # samples per axis of the injectivity check
 
 
 class RadialBump:
@@ -82,9 +80,7 @@ class RadialBump:
     The radial profile r (1 + amp e^{-r^2/w^2}) is strictly increasing, so
     the map is a homeomorphism, exactly when -1 < amp < e^{3/2}/2."""
 
-    kind = "radial-bump"
-
-    def __init__(self, center, amp, width, domain=None):
+    def __init__(self, center, amp, width):
         self.center = np.asarray(center, dtype=float)
         self.amp = float(amp)
         self.width = float(width)
@@ -96,7 +92,6 @@ class RadialBump:
         if not np.all(np.isfinite(self.center)):
             raise DomainError(f"bump centre must be finite, got {center}")
         self.d = len(self.center)
-        self.domain = domain
 
     def _profile(self, r):
         return r * (1.0 + self.amp * np.exp(-(r / self.width) ** 2))
@@ -197,9 +192,7 @@ class PiecewiseStretch:
     """First coordinate passes through an increasing piecewise-linear map;
     the rest stay fixed.  Breakpoints are (t_k, slope on [t_k, t_{k+1}))."""
 
-    kind = "piecewise-stretch"
-
-    def __init__(self, breaks, slopes, d=1, domain=None):
+    def __init__(self, breaks, slopes, d=1):
         self.breaks = np.asarray(breaks, dtype=float)
         self.slopes = np.asarray(slopes, dtype=float)
         if np.any(self.slopes <= 0):
@@ -207,7 +200,6 @@ class PiecewiseStretch:
         if len(self.breaks) != len(self.slopes):
             raise DomainError("need one slope per segment start")
         self.d = d
-        self.domain = domain
         self._heights = np.concatenate([
             [0.0], np.cumsum(self.slopes[:-1] * np.diff(self.breaks))])
 
@@ -261,11 +253,9 @@ def two_region_stretch(c, start, width, slope, d=1) -> PiecewiseStretch:
     return PiecewiseStretch(breaks, slopes, d=d)
 
 
-def injectivity_check(h, box, per_axis: int = 12) -> bool:
+def injectivity_check(h, box) -> bool:
     """Pairwise-distinct image samples on a regular grid of the box."""
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
-    img = h(pts)
+    img = h(_grid_points(box, _INJECTIVITY_GRID))
     tree = cKDTree(img)
     dist, _ = tree.query(img, k=2)
     return bool(dist[:, 1].min() > 0.0)
@@ -280,10 +270,15 @@ def _slab_box(c, N, i, d):
     return [((i - 1) * lam, i * lam)] + [(0.0, lam)] * (d - 1)
 
 
-def _grid_points(box, per_axis):
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
+def _product_grid(axes):
+    """The points of the product of the per-axis coordinate arrays, one row
+    each, the last axis running fastest."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _grid_points(box, per_axis):
+    return _product_grid([np.linspace(lo, hi, per_axis) for lo, hi in box])
 
 
 @dataclass
@@ -337,8 +332,10 @@ class Statement2Result:
     coarsened: bool = False
 
 
-def check_statement2(h, c, N, M, phi, d: int = 1,
-                     budget: int = 2_000_000) -> Statement2Result:
+_STATEMENT2_BUDGET = 2_000_000  # lattice points tested before the grid coarsens
+
+
+def check_statement2(h, c, N, M, phi, d: int = 1) -> Statement2Result:
     """First lattice point z (lexicographic) of the c/(NM)-grid whose local
     stretch beats (1 + phi) times the base-point stretch, or None."""
     if N < 1 or M < 1 or d < 1:
@@ -350,11 +347,9 @@ def check_statement2(h, c, N, M, phi, d: int = 1,
     for v in counts:
         total *= v
     coarsen = 1
-    while total // coarsen ** d > budget:
+    while total // coarsen ** d > _STATEMENT2_BUDGET:
         coarsen *= 2
-    axes = [np.arange(0, counts[k], coarsen) * step for k in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([v.ravel() for v in mesh], axis=-1)
+    pts = _product_grid([np.arange(0, counts[k], coarsen) * step for k in range(d)])
     e1 = np.zeros(d)
     e1[0] = step
     ratios = np.linalg.norm(h(pts + e1) - h(pts), axis=1) / step
@@ -487,8 +482,7 @@ def _image_extent(h, box, G):
     # at least two rows a slab, so the first slab has an axis-0 step too
     for rows in _block_sizes(G, max(2, _MC_BLOCK // G ** (d - 1))):
         first, start = max(start - 1, 0), start + rows
-        mesh = np.meshgrid(axes[0][first:start], *axes[1:], indexing="ij")
-        img = h(np.stack([m.ravel() for m in mesh], axis=-1))
+        img = h(_product_grid([axes[0][first:start], *axes[1:]]))
         np.minimum(lo, img.min(axis=0), out=lo)
         np.maximum(hi, img.max(axis=0), out=hi)
         img_grid = img.reshape(start - first, *([G] * (d - 1)), d)
@@ -520,7 +514,7 @@ def image_volume(h, box, mode: str = "auto", budget: int = 200_000,
         raise ConfigurationError(f"unknown mode {mode!r}")
     if budget < 1:
         raise DomainError(f"budget must be at least 1, got {budget}")
-    exact = h.volume_factor() if hasattr(h, "volume_factor") else None
+    exact = h.volume_factor()
     if mode == "auto":
         if exact is not None:
             v = exact * _box_volume(box)
@@ -549,8 +543,6 @@ def image_volume(h, box, mode: str = "auto", budget: int = 200_000,
         value = int(cover.sum()) * vol_cell
         return VolumeEstimate(value=value, lower=lower, upper=upper, mode="grid")
 
-    if not hasattr(h, "preimage_in"):
-        raise ConfigurationError("map exposes no inverse; use grid mode")
     rng = np.random.default_rng(seed)
     low, high = [lo for lo, _ in bbox], [hi for _, hi in bbox]
     hits = 0
@@ -565,19 +557,13 @@ def image_volume(h, box, mode: str = "auto", budget: int = 200_000,
 
 
 def _boundary_points(box, per_axis):
-    d = len(box)
-    pts = []
-    for k in range(d):
-        for side in (0, 1):
-            sub = []
-            for j, (lo, hi) in enumerate(box):
-                if j == k:
-                    sub.append(np.array([box[k][side]]))
-                else:
-                    sub.append(np.linspace(lo, hi, per_axis))
-            mesh = np.meshgrid(*sub, indexing="ij")
-            pts.append(np.stack([v.ravel() for v in mesh], axis=-1))
-    return np.concatenate(pts, axis=0)
+    """Grid points of the box's faces, face by face: axis k pinned at its
+    low side, then at its high side, for k = 0, 1, ..."""
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
+    return np.concatenate([
+        _product_grid([np.array([box[k][side]]) if j == k else axis
+                       for j, axis in enumerate(axes)])
+        for k in range(len(box)) for side in (0, 1)], axis=0)
 
 
 def _rasters(point_sets, origin, cell, pad=0):
@@ -618,20 +604,18 @@ class VolumeDiffReport:
     slab: int
 
 
-def volume_diff_check(h, c, N, i, m: Modulus, eps, pi_d: float | None = None,
-                      mode: str = "auto", budget: int = 200_000,
-                      test_grid: int = 5, d: int = 2,
+def volume_diff_check(h, c, N, i, m: Modulus, eps, mode: str = "auto",
+                      budget: int = 200_000, d: int = 2,
                       seed: int = 0) -> VolumeDiffReport:
     """Compare |vol h(S_i) - vol h(S_{i+1})| for the e1-adjacent slab cubes
-    against the modulus-composition bound with the covering constant pi(d).
+    against the modulus-composition bound with the covering constant
+    default_pi_d(d).
 
     The near-translation hypothesis is checked on S_i only (matching the
     statement); when it fails the result reports hypothesis_ok=False and no
     pass verdict.
     """
-    if pi_d is None:
-        pi_d = default_pi_d(d)
-    rep1 = check_statement1(h, c, N, eps, m, test_grid=test_grid, d=d)
+    rep1 = check_statement1(h, c, N, eps, m, d=d)
     lam = c / N
     hyp_ok = i in rep1.omega
     S_i = _slab_box(c, N, i, d)
@@ -640,7 +624,7 @@ def volume_diff_check(h, c, N, i, m: Modulus, eps, pi_d: float | None = None,
     v2 = image_volume(h, S_next, mode=mode, budget=budget, seed=seed + 1)
     lhs = abs(v1.value - v2.value)
     lhs_error = (v1.upper - v1.lower) / 2 + (v2.upper - v2.lower) / 2
-    rhs = pi_d * math.exp(upsilon_log(d, m, eps, math.log(lam))) * lam ** d
+    rhs = default_pi_d(d) * math.exp(upsilon_log(d, m, eps, math.log(lam))) * lam ** d
     passed = (lhs <= rhs + lhs_error) if hyp_ok else None
     return VolumeDiffReport(lhs=lhs, rhs=rhs, lhs_error=lhs_error,
                             hypothesis_ok=hyp_ok, passed=passed, slab=i)
@@ -649,6 +633,8 @@ def volume_diff_check(h, c, N, i, m: Modulus, eps, pi_d: float | None = None,
 # ---------------------------------------------------------------------------
 # raster checks: symmetric difference and boundary neighbourhoods
 # ---------------------------------------------------------------------------
+
+_UNIT_SQUARE = [(0.0, 1.0), (0.0, 1.0)]  # the domain of both raster checks
 
 @dataclass
 class SymdiffReport:
@@ -659,23 +645,17 @@ class SymdiffReport:
     cells_checked: int
 
 
-def symdiff_bound_check(f, g, grid_res: int = 64,
-                        domain=None) -> SymdiffReport:
-    """Rasterized check that the image symmetric difference stays inside the
-    sup-distance collar of the image boundary.
+def symdiff_bound_check(f, g, grid_res: int = 64) -> SymdiffReport:
+    """Rasterized check that the image symmetric difference of the unit
+    square stays inside the sup-distance collar of the image boundary.
 
     Every raster cell met by exactly one of the two images must lie within
     sup|f-g| (+ raster and sampling slack) of the f-boundary raster.
     """
-    if domain is None:
-        domain = [(0.0, 1.0), (0.0, 1.0)]
-    d = len(domain)
-    if d != 2:
-        raise ConfigurationError("raster checks are two-dimensional")
-    if not injectivity_check(f, domain):
+    if not injectivity_check(f, _UNIT_SQUARE):
         raise DomainError("f is not injective on the sample grid")
     dense = 4 * grid_res
-    pts = _grid_points(domain, dense)
+    pts = _grid_points(_UNIT_SQUARE, dense)
     fi, gi = f(pts), g(pts)
     sup_dist = float(np.linalg.norm(fi - gi, axis=1).max())
 
@@ -685,7 +665,7 @@ def symdiff_bound_check(f, g, grid_res: int = 64,
     cell = float((hi - lo).max()) / grid_res
 
     (Rf, Rg, Rb), first = _rasters(
-        [fi, gi, f(_boundary_points(domain, 8 * grid_res))], lo, cell)
+        [fi, gi, f(_boundary_points(_UNIT_SQUARE, 8 * grid_res))], lo, cell)
 
     # sampling slack: the raster of a region from point samples is reliable
     # up to the largest image step between neighbouring samples
@@ -718,10 +698,9 @@ class BoundaryMeasureRow:
     raster_slack: float
 
 
-def boundary_neighborhood_measure(f, eps_list, grid_res: int = 256,
-                                  domain=None) -> list:
+def boundary_neighborhood_measure(f, eps_list, grid_res: int = 256) -> list:
     """Raster measure of the eps-neighbourhood of the image boundary of the
-    domain box, one row per eps (descending eps stays monotone).
+    unit square, one row per eps (descending eps stays monotone).
 
     The slack column brackets the raster error: it is the measure of the
     cells whose centre distance sits within one cell diagonal of the eps
@@ -729,13 +708,9 @@ def boundary_neighborhood_measure(f, eps_list, grid_res: int = 256,
     """
     if not all(eps >= 0 for eps in eps_list):
         raise DomainError(f"eps must be non-negative, got {list(eps_list)}")
-    if domain is None:
-        domain = [(0.0, 1.0), (0.0, 1.0)]
-    if len(domain) != 2:
-        raise ConfigurationError("raster checks are two-dimensional")
-    if not injectivity_check(f, domain):
+    if not injectivity_check(f, _UNIT_SQUARE):
         raise DomainError("f is not injective on the sample grid")
-    bpts = _boundary_points(domain, 16 * grid_res)
+    bpts = _boundary_points(_UNIT_SQUARE, 16 * grid_res)
     img = f(bpts)
     pad = max(eps_list) * 1.5
     lo = img.min(axis=0) - pad

@@ -32,7 +32,11 @@ from .errors import DomainError, InjectivityError, RangeError
 _BISECT_MAX_ITER = 200
 _BISECT_REL_TOL = 1e-12
 
-E_INV_SQ = math.exp(-2.0)
+
+def _logpow_cap(alpha):
+    """min(1/e^2, e^-alpha), the largest a_omega of logpow(alpha); finite
+    for every alpha, NaN included."""
+    return math.exp(-max(2.0, alpha))
 
 
 @lru_cache(maxsize=None)
@@ -62,10 +66,11 @@ class Modulus:
             raise DomainError(f"a_omega must lie in (0, 1], got {self.a_omega}")
         if self.kind == "holder" and not (0.0 < self.alpha < 1.0):
             raise DomainError(f"holder exponent must lie in (0,1), got {self.alpha}")
+        # the negated comparisons below also refuse NaN
         if self.kind == "logpow":
-            if self.alpha <= 0.0:
+            if not self.alpha > 0.0:
                 raise DomainError(f"logpow exponent must be positive, got {self.alpha}")
-            cap = min(E_INV_SQ, math.exp(-self.alpha))
+            cap = _logpow_cap(self.alpha)
             if self.a_omega > cap * (1.0 + 1e-12):
                 raise DomainError(
                     f"logpow(alpha={self.alpha}) needs a_omega <= {cap:.6g}, got {self.a_omega}"
@@ -73,7 +78,7 @@ class Modulus:
         if self.kind == "scaled":
             if self.inner is None:
                 raise DomainError("scaled modulus needs an inner modulus")
-            if self.L < 1.0:
+            if not self.L >= 1.0:
                 raise DomainError(f"scaling factor must be >= 1, got {self.L}")
             if self.a_omega != self.inner.a_omega:
                 raise DomainError("scaled modulus must share the inner domain end")
@@ -203,8 +208,8 @@ def _bisect(f, y, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
-def identity(a_omega: float = 1.0) -> Modulus:
-    return Modulus(kind="identity", a_omega=a_omega)
+def identity() -> Modulus:
+    return Modulus(kind="identity")
 
 
 def holder(alpha: float, a_omega: float = 1.0) -> Modulus:
@@ -215,7 +220,7 @@ def logpow(alpha: float, a_omega: float | None = None) -> Modulus:
     """t * log(1/t)^alpha on (0, a); the default a satisfies both membership
     conditions (a <= 1/e^2 and log(1/t) >= alpha)."""
     if a_omega is None:
-        a_omega = min(E_INV_SQ, math.exp(-alpha))
+        a_omega = _logpow_cap(alpha)
     return Modulus(kind="logpow", alpha=alpha, a_omega=a_omega)
 
 

@@ -189,9 +189,8 @@ def construct_net_cube(rho, cube, m_k: int) -> NetCubeResult:
                                for k in range(d)])
     pts = np.array(points) if points else np.empty((0, d))
     window = tuple((float(lo), float(hi)) for lo, hi in cube)
-    sup_rho = Fraction(rho.sup()) if hasattr(rho, "sup") else None
     return NetCubeResult(cloud=PointCloud(pts, window=window), cells=cells,
-                         cube=cube, m=m_k, sup_rho=sup_rho)
+                         cube=cube, m=m_k, sup_rho=Fraction(rho.sup()))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +258,6 @@ def discrepancy_report(result: NetCubeResult) -> DiscrepancyReport:
         if disc > 0:
             overshoot_free = False
         max_abs = max(max_abs, abs(disc))
-    if result.sup_rho is None:
-        raise DomainError("density exposes no sup; discrepancy bound undefined")
     bound = (2 ** d * float(result.sup_rho) ** ((d - 1) / d)
              / (float(l) * result.m ** (d - 1)))
     return DiscrepancyReport(

@@ -542,17 +542,17 @@ def num_iter_margin(d: int, m: Modulus, eps: float, c: float, i: int,
 # upsilon and kappa
 # ---------------------------------------------------------------------------
 
-def upsilon_log(d: int, m: Modulus, eps: float, log_ell: float,
-                pi_const: float = 1.0) -> float:
+def upsilon_log(d: int, m: Modulus, eps: float, log_ell: float) -> float:
     """log of the volume-difference bound:
-    pi * omega(omega(eps omega(ell)))^d / (ell * omega(eps omega(ell))^{d-1}).
+    omega(omega(eps omega(ell)))^d / (ell * omega(eps omega(ell))^{d-1}),
+    with covering constant 1 (the volume check multiplies by pi(d) itself).
 
     Raises a domain error naming the composition level that escapes the
     modulus domain.
 
     For the log-linear family the dominant log(ell) terms cancel exactly:
 
-        log upsilon = log pi + log eps + (d+2) log Lam
+        log upsilon = log eps + (d+2) log Lam
                       + alpha [log(-log ell) + log(-u1) + d log(-u2)],
 
     which is what gets evaluated, since the naive composition loses the O(1)
@@ -571,19 +571,18 @@ def upsilon_log(d: int, m: Modulus, eps: float, log_ell: float,
     form = m._log_linear_form()
     if form is not None:
         log_lam, alpha = form
-        out = math.log(pi_const) + math.log(eps) + (d + 2) * log_lam
+        out = math.log(eps) + (d + 2) * log_lam
         if alpha:
             out += alpha * (math.log(-log_ell) + math.log(-u1) + d * math.log(-u2))
         return out
-    return math.log(pi_const) + d * m.eval_log(u2) - log_ell - (d - 1) * u2
+    return d * m.eval_log(u2) - log_ell - (d - 1) * u2
 
 
-def upsilon(d: int, m: Modulus, L: float, k: int, eps: float, ell: float,
-            pi_const: float = 1.0) -> float:
-    """The volume-difference bound at cube sidelength ell.  L and k enter
-    only through the configurable constant (default 1) and through the
-    caller's choice of a rescaled modulus."""
-    return math.exp(upsilon_log(d, m, eps, math.log(ell), pi_const))
+def upsilon(d: int, m: Modulus, eps: float, ell: float) -> float:
+    """The volume-difference bound at cube sidelength ell.  The mapping
+    constants L and k enter only through the caller's choice of a rescaled
+    modulus."""
+    return math.exp(upsilon_log(d, m, eps, math.log(ell)))
 
 
 def rescaled_modulus(m: Modulus, L: float, k: int) -> Modulus:
@@ -596,20 +595,18 @@ def rescaled_modulus(m: Modulus, L: float, k: int) -> Modulus:
 
 
 def kappa(d: int, m: Modulus, L: float, k: int, eps: float, c: float,
-          max_levels: int = 48, pi_const: float = 1.0) -> float:
+          max_levels: int = 48) -> float:
     """sup over levels i in [r] of upsilon at ell = c_i/N_i.
 
     The level sequence is driven by the rescaled modulus L*sqrt(k)*omega;
-    upsilon itself uses the plain omega with the constants absorbed into
-    pi_const.  All cubes at one level share a sidelength, so the sup
-    collapses to a sup over levels.
+    upsilon itself uses the plain omega.  All cubes at one level share a
+    sidelength, so the sup collapses to a sup over levels.
     """
     cert = certify_r(d, rescaled_modulus(m, L, k), eps, c, max_levels)
-    return kappa_from_certificate(cert, m, pi_const)
+    return kappa_from_certificate(cert, m)
 
 
-def kappa_from_certificate(cert: RCertificate, m: Modulus,
-                           pi_const: float = 1.0) -> float:
+def kappa_from_certificate(cert: RCertificate, m: Modulus) -> float:
     """kappa over the levels of a certificate for the (rescaled) level
     sequence, with upsilon taken at the plain modulus m.  Level r past the
     exact scan is read from the certificate's own continuum model."""
@@ -619,11 +616,11 @@ def kappa_from_certificate(cert: RCertificate, m: Modulus,
     for rec in trace.levels:
         if rec.i > cert.r:
             break
-        best = max(best, upsilon_log(d, m, eps, rec.log_sidelength, pi_const))
+        best = max(best, upsilon_log(d, m, eps, rec.log_sidelength))
     if cert.model is not None:
         model = cert.model
         with mp.workdps(model.dps):
             x_r = model.x_of_level(cert.r)
             log_ell_r = float(-x_r - model.log_n_of_x(x_r))
-        best = max(best, upsilon_log(d, m, eps, log_ell_r, pi_const))
+        best = max(best, upsilon_log(d, m, eps, log_ell_r))
     return math.exp(best)

@@ -119,7 +119,7 @@ def test_criterion_06_upsilon_cancellation():
     for d in (2, 3):
         for eps in (1e-1, 1e-2, 1e-3, 1e-4):
             for ell in (1e-1, 1e-3, 1e-6):
-                v = P.upsilon(d, identity(), 1.0, 1, eps, ell)
+                v = P.upsilon(d, identity(), eps, ell)
                 worst = max(worst, abs(v / eps - 1.0))
     _verdict(6, worst < 1e-9,
              f"upsilon/eps constant for the identity modulus across the "

@@ -169,6 +169,12 @@ class TestExitCodes:
         # the dimension-one M base 1/omega^-1(eps_1/4) overflows a float
         ["params", "--d", "3", "--modulus", "holder:0.5", "--eps", "0.1",
          "--c", "0.1"],
+        # exponents and factors that are NaN, or whose default domain end
+        # e^-alpha overflows
+        ["moduli-check", "--modulus", "logpow:-1000"],
+        ["moduli-check", "--modulus", "scaled:2:logpow:-1000"],
+        ["moduli-check", "--modulus", "logpow:nan"],
+        ["moduli-check", "--modulus", "scaled:nan:identity"],
         *[["net-audit", "--points", name, "--window", "0:1"]
           for name in _BAD_POINT_FILES],
         *[["--config", name] for name in _BAD_CONFIGS],
@@ -187,6 +193,8 @@ class TestExitCodes:
             "b1-max-iters-0", "volume-n-0", "volume-d-0", "bump-width-0",
             "volume-budget-0", "bump-amp-above-range", "bump-amp-below-range",
             "params-holder-digit-cap", "params-holder-m-base-overflow",
+            "logpow-exponent-overflows", "scaled-logpow-exponent-overflows",
+            "logpow-nan", "scaled-nan",
             *_BAD_POINT_FILES, *_BAD_CONFIGS, "missing-config", "points-directory",
             "out-missing-directory", "symdiff-map-3d", "volume-map-1d",
             *_BAD_VALUES])
@@ -395,7 +403,21 @@ _RUNS = {f"readme-{argv[0]}": argv for argv in _readme_commands()}
 _RUNS.update({
     "volume-check-grid": ["volume-check", "--mode", "grid", *_VOLUME_BUMP],
     "volume-check-monte-carlo": ["volume-check", "--mode", "monte_carlo", *_VOLUME_BUMP],
+    # the spec kinds no README command uses: holder and scaled moduli, and
+    # the chessboard: density, which reads a chessboard run's output
+    "holder-moduli-check": ["moduli-check", "--modulus", "holder:0.5"],
+    "scaled-moduli-check": ["moduli-check", "--modulus", "scaled:2:logpow:0.5"],
+    "scaled-params": ["params", "--d", "1", "--modulus", "scaled:2:logpow:0.5",
+                      "--eps", "0.1", "--c", "0.1"],
+    "holder-params": ["params", "--d", "2", "--modulus", "holder:0.5", "--eps", "0.1",
+                      "--c", "0.1", "--no-certify", "--max-levels", "3"],
+    "chessboard-net-discrepancy": ["net-discrepancy", "--rho", "chessboard:cb.json",
+                                   "--side", "40", "--m", "4"],
 })
+# runs whose input another run writes first
+_SETUP = {"chessboard-net-discrepancy": ["chessboard", "--d", "2", "--schedule",
+                                         "4x2,4x2", "--c", "1", "--levels", "2",
+                                         "--out", "cb"]}
 
 
 def _outputs(capsys, tmp_path, argv):
@@ -413,12 +435,14 @@ class TestReadmeCommands:
     def test_every_command_is_listed(self):
         assert len(_readme_commands()) == 17
 
-    @pytest.mark.parametrize("argv", _RUNS.values(), ids=_RUNS)
+    @pytest.mark.parametrize("name, argv", _RUNS.items(), ids=_RUNS)
     def test_runs_clean_and_reruns_byte_identical(self, capsys, tmp_path,
-                                                  monkeypatch, argv):
+                                                  monkeypatch, name, argv):
         monkeypatch.chdir(tmp_path)
-        for name, text in _README_INPUTS.items():
-            (tmp_path / name).write_text(text)
+        for path, text in _README_INPUTS.items():
+            (tmp_path / path).write_text(text)
+        if name in _SETUP:
+            assert run(capsys, *_SETUP[name])[0] == 0
         first = _outputs(capsys, tmp_path, argv)
         code, err, doc, _ = first
         assert code == 0, err

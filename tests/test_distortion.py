@@ -160,9 +160,11 @@ class TestBasics:
     def test_bilip_invariant_under_inverse(self):
         X, Y = random_instance(3, 5)
         perm = np.array([2, 0, 4, 1, 3])
-        b = Bijection(X, Y, perm)
-        assert bilip(b).bilip == bilip(b.inverse()).bilip
-        assert lip(b)[0] * lip(b.inverse())[0] >= 1.0 - 1e-12
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(len(perm))
+        b, back = Bijection(X, Y, perm), Bijection(Y, X, inv)
+        assert bilip(b).bilip == bilip(back).bilip
+        assert lip(b)[0] * lip(back)[0] >= 1.0 - 1e-12
 
     def test_duplicate_points_raise(self):
         X = np.array([[0.0, 0], [0, 0], [1, 1]])

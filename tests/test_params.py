@@ -404,11 +404,11 @@ class TestUpsilonKappa:
         for d in (2, 3):
             for eps in (1e-1, 1e-2, 1e-3, 1e-4):
                 for ell in (1e-1, 1e-3, 1e-6):
-                    v = P.upsilon(d, identity(), 1.0, 1, eps, ell)
+                    v = P.upsilon(d, identity(), eps, ell)
                     assert abs(v / eps - 1.0) < 1e-12
 
     def test_upsilon_linear_in_eps_for_identity(self):
-        vals = [P.upsilon(2, identity(), 1.0, 1, e, 0.01) for e in (0.1, 0.01, 0.001)]
+        vals = [P.upsilon(2, identity(), e, 0.01) for e in (0.1, 0.01, 0.001)]
         assert vals[0] / vals[1] == pytest.approx(10.0, rel=1e-12)
         assert vals[1] / vals[2] == pytest.approx(10.0, rel=1e-12)
 
@@ -423,18 +423,16 @@ class TestUpsilonKappa:
             t2 = w(t1)
             t3 = w(t2)
             expect = float(t3 ** d / (ell * t2 ** (d - 1)))
-        assert P.upsilon(d, m, 1.0, 1, eps, ell) == pytest.approx(expect, rel=1e-11)
+        assert P.upsilon(d, m, eps, ell) == pytest.approx(expect, rel=1e-11)
 
     def test_upsilon_domain_error_names_level(self):
         m = logpow(0.5)
         with pytest.raises(DomainError, match="level 0"):
-            P.upsilon(2, m, 1.0, 1, 0.1, 0.9)
+            P.upsilon(2, m, 0.1, 0.9)
 
-    def test_kappa_identity_is_pi_eps(self):
+    def test_kappa_identity_is_eps(self):
         for eps in (0.3, 0.1):
             assert P.kappa(2, identity(), 1.0, 1, eps, 0.2) == pytest.approx(eps, rel=1e-12)
-            assert P.kappa(2, identity(), 1.0, 1, eps, 0.2, pi_const=3.0) == pytest.approx(
-                3.0 * eps, rel=1e-12)
 
     def test_kappa_builds_one_far_model(self, monkeypatch):
         # kappa reads level r from the model certify_r was certified against

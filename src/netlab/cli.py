@@ -7,6 +7,11 @@ command, typed, with its default filled in.  Outputs are stamped with the
 tool version, a hash of that configuration and the seed, and written
 atomically.  Reruns with the same configuration and seed are byte-identical.
 
+Only scipy-free modules are imported at the top (errors, moduli, params,
+density, numpy and mpmath), so ``moduli-check``, ``params``, ``families`` and
+``chessboard`` start without scipy.  netgen, distortion and geomlab load
+scipy; each handler, and each spec parser, that needs one imports it itself.
+
 Exit codes: 0 success, 1 an invariant check failed, 2 configuration error.
 """
 
@@ -30,9 +35,6 @@ from .errors import (BudgetError, ConfigurationError, DomainError, NetlabError,
 from .moduli import check_class_M, parse_modulus
 from . import params as P
 from . import density as D
-from . import netgen as NG
-from . import distortion as DT
-from . import geomlab as G
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +82,14 @@ def _csv_text(header_meta: dict, columns: list, rows: list) -> str:
 
 
 def _fmt(v):
+    """A CSV cell.  An int too long for ``str`` (over 4300 digits) is written
+    exactly as ``0x`` hex, which ``int(cell, 0)`` reads back."""
     if isinstance(v, float):
         return repr(v)
-    return str(v)
+    try:
+        return str(v)
+    except ValueError:
+        return hex(v)
 
 
 def _families_svg(families, scale=800.0):
@@ -147,6 +154,7 @@ def _parse_map(spec: str, d: int | None = None):
     radial-bump:cx,..,amp,width | stretch:c,start,width,slope[,d].  A given
     ``d`` is the dimension the map must have; a stretch moves only the first
     coordinate, so without its own ``d`` it takes this one."""
+    from . import geomlab as G
     kind, _, rest = spec.partition(":")
     if kind == "identity":
         dpart, rest = rest or "2", ""
@@ -234,7 +242,9 @@ def _parse_schedule(spec: str):
         raise ConfigurationError(f"cannot parse schedule spec {spec!r}") from None
 
 
-def _load_points(path: str) -> NG.PointCloud:
+def _load_points(path: str):
+    """The point cloud of a ``.netf`` or CSV file."""
+    from . import netgen as NG
     if path.endswith(".netf"):
         return NG.PointCloud.from_netf(_read(path, binary=True))
     return NG.PointCloud.from_csv(_read(path))
@@ -335,6 +345,7 @@ def _cmd_chessboard(a):
 
 
 def _cmd_net_build(a):
+    from . import netgen as NG
     res = NG.construct_net_cube(_parse_rho(a.rho), _cube(a), a.m)
     cloud = res.cloud
     payload = {
@@ -353,6 +364,7 @@ def _cmd_net_build(a):
 
 
 def _cmd_net_audit(a):
+    from . import netgen as NG
     cloud = _load_points(a.points)
     window = _parse_window(a.window, cloud.d) if a.window is not None else None
     return _Outcome(_jsonable(NG.audit_net(cloud, window=window,
@@ -360,6 +372,7 @@ def _cmd_net_audit(a):
 
 
 def _cmd_net_discrepancy(a):
+    from . import netgen as NG
     rho = _parse_rho(a.rho)
     rep = NG.discrepancy_report(NG.construct_net_cube(rho, _cube(a), a.m))
     payload = {
@@ -373,6 +386,7 @@ def _cmd_net_discrepancy(a):
 
 
 def _cmd_distort_exact(a):
+    from . import distortion as DT
     X, Y = _load_points(a.x).points, _load_points(a.y).points
     rep = DT.min_bilip_exact(X, Y, node_limit=a.node_limit)
     if rep.method != "exact":
@@ -382,12 +396,14 @@ def _cmd_distort_exact(a):
 
 
 def _cmd_distort_heuristic(a):
+    from . import distortion as DT
     X, Y = _load_points(a.x).points, _load_points(a.y).points
     return _Outcome(_jsonable(DT.min_bilip_heuristic(X, Y, seed=a.seed,
                                                      restarts=a.restarts)))
 
 
 def _cmd_profile(a):
+    from . import distortion as DT
     rho = _parse_rho(a.rho)
     scales = _float_list(a.scales, "scales")
     modulus = parse_modulus(a.modulus) if a.modulus is not None else None
@@ -401,10 +417,12 @@ def _cmd_profile(a):
 
 
 def _cmd_feige_ls(a):
+    from . import distortion as DT
     return _Outcome({"L_S": DT.feige_ls(_load_points(a.s).points, a.n, a.d)})
 
 
 def _cmd_feige_cn(a):
+    from . import distortion as DT
     val, best, exact = DT.feige_cn_window(
         a.n, a.d, _parse_window(a.window, a.d), budget=a.budget,
         samples=a.samples, seed=a.seed)
@@ -412,6 +430,7 @@ def _cmd_feige_cn(a):
 
 
 def _cmd_dichotomy(a):
+    from . import geomlab as G
     h = _parse_map(a.map, a.d)
     m = parse_modulus(a.modulus)
     M = a.m if a.m is not None else P.big_m(a.n, a.d, m, a.eps)
@@ -429,6 +448,7 @@ def _cmd_dichotomy(a):
 
 
 def _cmd_b1_trace(a):
+    from . import geomlab as G
     h = _parse_map(a.map, a.d)
     tr = G.run_algorithm_b1(h, a.d, parse_modulus(a.modulus), a.eps, a.c,
                             max_iters=a.max_iters)
@@ -442,6 +462,7 @@ def _cmd_b1_trace(a):
 
 
 def _cmd_volume_check(a):
+    from . import geomlab as G
     h = _parse_map(a.map, a.d)
     rep = G.volume_diff_check(
         h, a.c, a.n, a.slab, parse_modulus(a.modulus), a.eps, d=a.d, mode=a.mode,
@@ -450,12 +471,14 @@ def _cmd_volume_check(a):
 
 
 def _cmd_symdiff(a):
+    from . import geomlab as G
     rep = G.symdiff_bound_check(_parse_map(a.f, 2), _parse_map(a.g, 2),
                                 grid_res=a.resolution)
     return _Outcome(_jsonable(rep), failed=rep.violations > 0)
 
 
 def _cmd_boundary_measure(a):
+    from . import geomlab as G
     f = _parse_map(a.map, 2)
     rows_data = G.boundary_neighborhood_measure(
         f, _float_list(a.eps_list, "eps-list"), grid_res=a.resolution)

@@ -78,8 +78,8 @@ class Modulus:
         if self.kind == "scaled":
             if self.inner is None:
                 raise DomainError("scaled modulus needs an inner modulus")
-            if not self.L >= 1.0:
-                raise DomainError(f"scaling factor must be >= 1, got {self.L}")
+            if not 1.0 <= self.L < math.inf:
+                raise DomainError(f"scaling factor must be finite and >= 1, got {self.L}")
             if self.a_omega != self.inner.a_omega:
                 raise DomainError("scaled modulus must share the inner domain end")
 

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from netlab import cli
 from netlab import params as P
 from netlab.cli import (_CONFIG_ERRORS, _parse_map, _parse_schedule,
                         _parse_window, main)
@@ -175,6 +179,7 @@ class TestExitCodes:
         ["moduli-check", "--modulus", "scaled:2:logpow:-1000"],
         ["moduli-check", "--modulus", "logpow:nan"],
         ["moduli-check", "--modulus", "scaled:nan:identity"],
+        ["moduli-check", "--modulus", "scaled:inf:identity"],
         *[["net-audit", "--points", name, "--window", "0:1"]
           for name in _BAD_POINT_FILES],
         *[["--config", name] for name in _BAD_CONFIGS],
@@ -194,7 +199,7 @@ class TestExitCodes:
             "volume-budget-0", "bump-amp-above-range", "bump-amp-below-range",
             "params-holder-digit-cap", "params-holder-m-base-overflow",
             "logpow-exponent-overflows", "scaled-logpow-exponent-overflows",
-            "logpow-nan", "scaled-nan",
+            "logpow-nan", "scaled-nan", "scaled-inf",
             *_BAD_POINT_FILES, *_BAD_CONFIGS, "missing-config", "points-directory",
             "out-missing-directory", "symdiff-map-3d", "volume-map-1d",
             *_BAD_VALUES])
@@ -353,6 +358,23 @@ class TestOutputs:
         assert ups[0] == repr(float(ups[0]))
         assert mpmath.mpf(ups[1]) > 1e308
 
+    @pytest.mark.parametrize("sink", ["--out", "--format"])
+    def test_params_ints_past_str_limit_are_written_as_hex(self, capsys, tmp_path,
+                                                           sink):
+        # holder N_3 and M_3 have more digits than str() of an int may give
+        argv = ["params", "--d", "2", "--modulus", "holder:0.5", "--eps", "0.1",
+                "--c", "0.1", "--no-certify", "--max-levels", "3"]
+        target = str(tmp_path / "hp") if sink == "--out" else "csv"
+        code, out, err = run(capsys, *argv, sink, target)
+        assert code == 0, err
+        if sink == "--out":
+            out = (tmp_path / "hp.csv").read_text()
+        rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+        assert rows[0][2:4] == ["N_i", "M_i"]
+        last = P.param_sequence(2, parse_modulus("holder:0.5"), 0.1, 0.1, 3).levels[-1]
+        assert rows[-1][0] == "3"
+        assert [int(cell, 0) for cell in rows[-1][2:4]] == [last.N, last.M]
+
     def test_reruns_byte_identical(self, capsys, tmp_path):
         args = ["families", "--d", "2", "--schedule", "6x2,4x3", "--c", "1",
                 "--levels", "2", "--offsets", "seeded-random", "--seed", "3"]
@@ -435,6 +457,10 @@ class TestReadmeCommands:
     def test_every_command_is_listed(self):
         assert len(_readme_commands()) == 17
 
+    def test_every_command_has_a_run(self):
+        # a handler's own module import runs only when the handler does
+        assert {argv[0] for argv in _RUNS.values()} == set(cli._COMMANDS)
+
     @pytest.mark.parametrize("name, argv", _RUNS.items(), ids=_RUNS)
     def test_runs_clean_and_reruns_byte_identical(self, capsys, tmp_path,
                                                   monkeypatch, name, argv):
@@ -472,6 +498,27 @@ class TestConfigHash:
         assert config_hash(*base, "--grid-size", "65") not in forms
         assert config_hash("moduli-check", "--config", str(cfg),
                            "--grid-size", "32") not in forms
+
+
+_LIGHT_PROBE = """
+import sys
+import netlab.cli
+heavy = ("netlab.netgen", "netlab.distortion", "netlab.geomlab")
+print(sorted(m for m in sys.modules if m.startswith("scipy") or m in heavy))
+code = netlab.cli.main(["moduli-check", "--modulus", "logpow:0.5"])
+print(code, sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+class TestStartUp:
+    def test_cli_and_moduli_check_load_no_scipy(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", _LIGHT_PROBE],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "[]"
+        assert lines[-1] == "0 []"
 
 
 class TestRunOptions:

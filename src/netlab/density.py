@@ -17,6 +17,7 @@ margins) holds structurally for any admissible schedule.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -394,40 +395,6 @@ class ChessboardDensity:
         row = deeper.union_bounding_box()
         return _box_meet(self.families[level_idx].cube_box(cube), row)
 
-    # -- pointwise evaluation -------------------------------------------------
-    # float arithmetic: the pointwise path serves sampling and rendering,
-    # exactness lives in the integral path
-
-    def _lookup(self):
-        if not hasattr(self, "_cube_sets"):
-            self._cube_sets = [set(f.cubes) for f in self.families]
-        return self._cube_sets
-
-    def psi_value(self, x) -> float:
-        """psi at a point (float in, float out)."""
-        cube_sets = self._lookup()
-        xf = [float(v) for v in x]
-        for level_idx in range(len(self.families) - 1, -1, -1):
-            fam = self.families[level_idx]
-            lam = float(fam.lam)
-            t = tuple(int(math.floor(v / lam)) for v in xf)
-            if t not in cube_sets[level_idx]:
-                continue
-            box = [(float(lo), float(hi)) for lo, hi in fam.cube_box(t)]
-            hole = self._hole_in(level_idx, t)
-            if hole is not None:
-                holef = [(float(lo), float(hi)) for lo, hi in hole]
-                if all(lo <= v <= hi for v, (lo, hi) in zip(xf, holef)):
-                    continue  # overwritten by the deeper level
-            dist = min(min(v - lo, hi - v) for v, (lo, hi) in zip(xf, box))
-            if hole is not None:
-                hole_dist = max(
-                    max(lo - v, v - hi, 0.0) for v, (lo, hi) in zip(xf, holef))
-                dist = min(dist, hole_dist)
-            ramp = 1.0 if self.delta == 0 else min(1.0, dist / float(self.delta))
-            return _sign_of(t) * float(self.xi) * ramp
-        return 0.0
-
     def sup(self) -> Fraction:
         return self.base + self.xi
 
@@ -461,22 +428,19 @@ class ChessboardDensity:
 
     # -- chessboard properties --------------------------------------------------
 
-    def check_property1(self, probes=64, seed=0) -> bool:
-        """psi vanishes off the top family: probe points outside it."""
-        rng = random.Random(seed)
+    def check_property1(self) -> bool:
+        """psi vanishes off the top family, decided exactly: psi is non-zero
+        only inside the families' cubes, so the property holds iff every
+        top-lattice cell that a deeper cube meets is a top cube."""
         top = self.families[0]
-        bb = top.union_bounding_box()
-        d = self.d
-        ok = True
-        for _ in range(probes):
-            x = [float(bb[k][0]) + (float(bb[k][1] - bb[k][0]) + 1.0) * (2 * rng.random() - 0.5)
-                 for k in range(d)]
-            inside = any(
-                all(float(lo) <= xk <= float(hi) for xk, (lo, hi) in zip(x, top.cube_box(t)))
-                for t in top.cubes)
-            if not inside and self.psi_value(x) != 0.0:
-                ok = False
-        return ok
+        top_cubes = set(top.cubes)
+        for fam in self.families[1:]:
+            for t in fam.cubes:
+                cells = [range(math.floor(lo / top.lam), math.ceil(hi / top.lam))
+                         for lo, hi in fam.cube_box(t)]
+                if not top_cubes.issuperset(itertools.product(*cells)):
+                    return False
+        return True
 
     def check_property2(self) -> list:
         """Exact per-pair gaps: [(level, S, S2, gap)] for every e1-adjacent

@@ -71,7 +71,6 @@ def _in_box(points, box):
 
 _BISECT_STEPS = 100
 _B1_GRID_CHECK = 9  # samples per axis of algorithm B1's modulus bound check
-_INJECTIVITY_GRID = 12  # samples per axis of the injectivity check
 
 
 class RadialBump:
@@ -103,30 +102,32 @@ class RadialBump:
         factor = 1.0 + self.amp * np.exp(-(r / self.width) ** 2)
         return self.center + v * factor[:, None]
 
-    def _bisect(self, y, settle):
-        """Bisect profile(r) = |y - centre| for every row of y: at most 100
-        halvings of [0, |y - centre| / min(1, 1 + amp) + width], whose upper
-        end first doubles until it clears the root.
+    def preimage_in(self, y, box):
+        """_in_box of the preimage of each row of y, decided by bisecting
+        profile(r) = |y - centre|: at most 100 halvings of
+        [0, |y - centre| / min(1, 1 + amp) + width], whose upper end first
+        doubles until it clears the root.
 
-        After each step ``settle(lo, hi, idx, unit)`` gets the brackets of
-        the rows idx still in the loop and their unit directions from the
-        centre (one array per axis, 0 at the centre), and returns a mask of
-        the rows it is done with; they leave the loop.  A bracket no later
-        step can move comes collapsed to lo == hi == (lo + hi) / 2, the
-        radius the 100 steps end on, and settle must take it.  That is every
-        bracket after the last step, and one whose midpoint met an end: the
-        step is deterministic, so it would repeat itself from then on.
+        Each coordinate centre + unit * r of the preimage is monotone in r
+        under rounding, and the final radius lies in every bracket, so after
+        each step a row leaves as soon as both ends of its bracket land
+        inside the box, or on one outside side of it along some axis.  A
+        bracket no later step can move collapses to lo == hi == (lo + hi) / 2,
+        the radius the 100 steps end on, which decides any finite row: that
+        is every bracket after the last step, and one whose midpoint met an
+        end, since the step would then repeat itself.
         """
         unit = np.atleast_2d(y) - self.center
         s = np.linalg.norm(unit, axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
             unit /= np.maximum(s, 1e-300)[:, None]
         unit[~(s > 0)] = 0.0
-        unit = list(unit.T)
+        unit = list(unit.T)  # unit directions from the centre, 0 at the centre
         lo = np.zeros_like(s)
         hi = s / min(1.0, 1.0 + self.amp) + self.width
         while np.any(self._profile(hi) < s):
             hi = np.where(self._profile(hi) < s, hi * 2, hi)
+        inside = np.zeros(len(s), dtype=bool)
         idx = np.arange(len(s))
         for step in range(1, _BISECT_STEPS + 1):
             mid = 0.5 * (lo + hi)
@@ -136,40 +137,6 @@ class RadialBump:
             np.copyto(hi, mid, where=~below)
             if fixed.any():
                 lo[fixed] = hi[fixed] = 0.5 * (lo[fixed] + hi[fixed])
-            keep = ~settle(lo, hi, idx, unit)
-            if not keep.any():
-                return
-            if not keep.all():
-                # one array at a time, so each old copy goes as its new one comes
-                lo = lo[keep]
-                hi = hi[keep]
-                s = s[keep]
-                idx = idx[keep]
-                unit = [u[keep] for u in unit]
-
-    def invert(self, y):
-        x = np.full((len(np.atleast_2d(y)), self.d), np.nan)  # NaN rows never settle
-
-        def settle(lo, hi, idx, unit):
-            done = lo == hi
-            for k, u in enumerate(unit):
-                x[idx[done], k] = self.center[k] + u[done] * lo[done]
-            return done
-
-        self._bisect(y, settle)
-        return x
-
-    def preimage_in(self, y, box):
-        """_in_box(invert(y), box), decided from the radius bracket.
-
-        Each coordinate centre + unit * r of the preimage is monotone in r
-        under rounding, and the final radius lies in every bracket, so a
-        row leaves as soon as both ends of its bracket land inside the box,
-        or on one outside side of it along some axis.
-        """
-        inside = np.zeros(len(np.atleast_2d(y)), dtype=bool)
-
-        def settle(lo, hi, idx, unit):
             is_in = np.ones(len(idx), dtype=bool)
             is_out = np.zeros(len(idx), dtype=bool)
             for c, u, (blo, bhi) in zip(self.center, unit, box):
@@ -177,11 +144,17 @@ class RadialBump:
                 b = c + u * hi
                 is_in &= (a >= blo) & (a <= bhi) & (b >= blo) & (b <= bhi)
                 is_out |= ((a < blo) & (b < blo)) | ((a > bhi) & (b > bhi))
-            done = is_in | is_out
-            inside[idx[done]] = is_in[done]
-            return done
-
-        self._bisect(y, settle)
+            inside[idx[is_in]] = True
+            keep = ~(is_in | is_out)
+            if not keep.any():
+                break
+            if not keep.all():
+                # one array at a time, so each old copy goes as its new one comes
+                lo = lo[keep]
+                hi = hi[keep]
+                s = s[keep]
+                idx = idx[keep]
+                unit = [u[keep] for u in unit]
         return inside
 
     def volume_factor(self):
@@ -195,8 +168,10 @@ class PiecewiseStretch:
     def __init__(self, breaks, slopes, d=1):
         self.breaks = np.asarray(breaks, dtype=float)
         self.slopes = np.asarray(slopes, dtype=float)
-        if np.any(self.slopes <= 0):
-            raise DomainError("slopes must be positive for injectivity")
+        if not (np.all(np.isfinite(self.breaks)) and np.all(np.diff(self.breaks) >= 0)):
+            raise DomainError("breaks must be finite and non-decreasing for injectivity")
+        if not np.all(np.isfinite(self.slopes) & (self.slopes > 0)):
+            raise DomainError("slopes must be finite and positive for injectivity")
         if len(self.breaks) != len(self.slopes):
             raise DomainError("need one slope per segment start")
         self.d = d
@@ -251,14 +226,6 @@ def two_region_stretch(c, start, width, slope, d=1) -> PiecewiseStretch:
         breaks.append(start + width)
         slopes.append(comp)
     return PiecewiseStretch(breaks, slopes, d=d)
-
-
-def injectivity_check(h, box) -> bool:
-    """Pairwise-distinct image samples on a regular grid of the box."""
-    img = h(_grid_points(box, _INJECTIVITY_GRID))
-    tree = cKDTree(img)
-    dist, _ = tree.query(img, k=2)
-    return bool(dist[:, 1].min() > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +488,6 @@ def image_volume(h, box, mode: str = "auto", budget: int = 200_000,
             return VolumeEstimate(value=v, lower=v, upper=v, mode="exact")
         mode = "monte_carlo"
     d = len(box)
-    if not injectivity_check(h, box):
-        raise DomainError("map is not injective on the sample grid")
-
     G = max(4, int(round(budget ** (1.0 / d) / 2)))
     bbox, max_step = _image_extent(h, box, G)
 
@@ -652,8 +616,6 @@ def symdiff_bound_check(f, g, grid_res: int = 64) -> SymdiffReport:
     Every raster cell met by exactly one of the two images must lie within
     sup|f-g| (+ raster and sampling slack) of the f-boundary raster.
     """
-    if not injectivity_check(f, _UNIT_SQUARE):
-        raise DomainError("f is not injective on the sample grid")
     dense = 4 * grid_res
     pts = _grid_points(_UNIT_SQUARE, dense)
     fi, gi = f(pts), g(pts)
@@ -708,8 +670,6 @@ def boundary_neighborhood_measure(f, eps_list, grid_res: int = 256) -> list:
     """
     if not all(eps >= 0 for eps in eps_list):
         raise DomainError(f"eps must be non-negative, got {list(eps_list)}")
-    if not injectivity_check(f, _UNIT_SQUARE):
-        raise DomainError("f is not injective on the sample grid")
     bpts = _boundary_points(_UNIT_SQUARE, 16 * grid_res)
     img = f(bpts)
     pad = max(eps_list) * 1.5

@@ -160,7 +160,7 @@ def test_criterion_09_chessboard_properties():
     xi = F(1, 10)
     delta = fams[-1].lam / 100
     rho = D.chessboard_psi(fams, xi=xi, smoothing_delta=delta)
-    p1 = rho.check_property1(probes=256, seed=0)
+    p1 = rho.check_property1()
     gaps = rho.check_property2()
     p2 = all(gap >= xi for *_, gap in gaps)
     min_gap = min(gap for *_, gap in gaps)

@@ -1,6 +1,19 @@
+"""CLI tests.
+
+``TestReadmeCommands`` pins the documented outputs: the JSON document, or
+every ``--out`` file, of each run in ``_RUNS`` is kept under
+``tests/data/runs/<run>/``.  After a deliberate output change, regenerate
+those files with
+
+    NETLAB_REPIN=1 PYTHONPATH=src python -m pytest tests/test_cli.py -k runs_clean
+
+and review the diff.
+"""
+
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +33,7 @@ from netlab.netgen import PointCloud
 
 
 DATA = Path(__file__).with_name("data")
+RUNS = DATA / "runs"
 
 
 def run(capsys, *argv):
@@ -470,13 +484,20 @@ class TestReadmeCommands:
         if name in _SETUP:
             assert run(capsys, *_SETUP[name])[0] == 0
         first = _outputs(capsys, tmp_path, argv)
-        code, err, doc, _ = first
+        code, err, doc, files = first
         assert code == 0, err
         assert "Traceback" not in err
         parsed = json.loads(doc)
         assert json.dumps(parsed, sort_keys=True, indent=1) + "\n" == doc
         assert parsed["meta"]["command"] == argv[0]
         assert _outputs(capsys, tmp_path, argv) == first
+        pinned = files or {"stdout.json": doc.encode()}
+        if os.environ.get("NETLAB_REPIN"):
+            shutil.rmtree(RUNS / name, ignore_errors=True)
+            (RUNS / name).mkdir(parents=True)
+            for fname, blob in pinned.items():
+                (RUNS / name / fname).write_bytes(blob)
+        assert pinned == {p.name: p.read_bytes() for p in (RUNS / name).iterdir()}
 
 
 class TestConfigHash:

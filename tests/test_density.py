@@ -10,6 +10,7 @@ from netlab.density import (
     ConstantDensity,
     FamilySchedule,
     TiledFamily,
+    _sign_of,
     adjacent_pairs,
     build_nested_families,
     chessboard_psi,
@@ -25,6 +26,33 @@ DESK = FamilySchedule(c=F(1), counts=((6, 2), (4, 3), (4, 2)))
 
 def desk_families(levels=3, offsets="zero", seed=None, d=2):
     return build_nested_families(DESK, d=d, levels=levels, offsets=offsets, seed=seed)
+
+
+def psi_value(rho, x) -> float:
+    """psi at a point in float arithmetic: the pointwise oracle of the exact
+    integral.  The deepest family whose cube holds x and whose hole does not
+    decides the value."""
+    xf = [float(v) for v in x]
+    for level_idx in range(len(rho.families) - 1, -1, -1):
+        fam = rho.families[level_idx]
+        lam = float(fam.lam)
+        t = tuple(int(math.floor(v / lam)) for v in xf)
+        if t not in fam.cubes:
+            continue
+        box = [(float(lo), float(hi)) for lo, hi in fam.cube_box(t)]
+        hole = rho._hole_in(level_idx, t)
+        if hole is not None:
+            holef = [(float(lo), float(hi)) for lo, hi in hole]
+            if all(lo <= v <= hi for v, (lo, hi) in zip(xf, holef)):
+                continue  # overwritten by the deeper level
+        dist = min(min(v - lo, hi - v) for v, (lo, hi) in zip(xf, box))
+        if hole is not None:
+            hole_dist = max(
+                max(lo - v, v - hi, 0.0) for v, (lo, hi) in zip(xf, holef))
+            dist = min(dist, hole_dist)
+        ramp = 1.0 if rho.delta == 0 else min(1.0, dist / float(rho.delta))
+        return _sign_of(t) * float(rho.xi) * ramp
+    return 0.0
 
 
 class TestAdjacency:
@@ -166,9 +194,27 @@ class TestChessboard:
     def test_property1_zero_outside(self):
         rho = chessboard_psi(desk_families(), xi=F(1, 10),
                              smoothing_delta=F(1, 576) / 100)
-        assert rho.check_property1(probes=200, seed=1)
-        assert rho.psi_value([10.0, 10.0]) == 0.0
-        assert rho.psi_value([-0.01, 0.05]) == 0.0
+        assert rho.check_property1()
+        assert psi_value(rho, [10.0, 10.0]) == 0.0
+        assert psi_value(rho, [-0.01, 0.05]) == 0.0
+
+    # top: four 1/4-cubes along e1; middle: two 1/16-cubes in the first one;
+    # one 1/64-cube below them, inside or outside the top family
+    @pytest.mark.parametrize("cube, holds", [
+        ((0, 40), False),   # above the top row
+        ((40, 2), True),    # in the third top cube, outside the middle row
+        ((63, 0), True),    # touches the top row's right edge from inside
+        ((64, 0), False),   # just past that edge
+    ])
+    def test_property1_is_exact(self, cube, holds):
+        fams = [TiledFamily(level=1, lam=F(1, 4), cubes=tuple((k, 0) for k in range(4))),
+                TiledFamily(level=2, lam=F(1, 16), cubes=((0, 0), (1, 0))),
+                TiledFamily(level=3, lam=F(1, 64), cubes=(cube,))]
+        rho = ChessboardDensity(base=F(1), xi=F(1, 10), delta=F(0), families=fams)
+        assert rho.check_property1() is holds
+        # the float oracle sees psi at the cube's centre
+        centre = [(k + 0.5) / 64 for k in cube]
+        assert abs(psi_value(rho, centre)) == 0.1
 
     def test_property2_three_levels_smoothed(self):
         fams = desk_families()
@@ -184,8 +230,8 @@ class TestChessboard:
         fams = desk_families(levels=1)
         rho = chessboard_psi(fams, xi=F(1, 10), smoothing_delta=0)
         lam = float(fams[0].lam)
-        v0 = rho.psi_value([0.5 * lam, 0.5 * lam])
-        v1 = rho.psi_value([1.5 * lam, 0.5 * lam])
+        v0 = psi_value(rho, [0.5 * lam, 0.5 * lam])
+        v1 = psi_value(rho, [1.5 * lam, 0.5 * lam])
         assert v0 == 0.1 and v1 == -0.1
 
     def test_deeper_level_overwrites(self):
@@ -194,9 +240,9 @@ class TestChessboard:
         lam2 = float(fams[1].lam)
         # center of the second deep cube: sign flips relative to its parent
         x = [1.5 * lam2, 0.5 * lam2]
-        assert rho.psi_value(x) == -0.1
+        assert psi_value(rho, x) == -0.1
         x0 = [0.5 * lam2, 0.5 * lam2]
-        assert rho.psi_value(x0) == 0.1
+        assert psi_value(rho, x0) == 0.1
 
     def test_positivity_enforced(self):
         with pytest.raises(DomainError):
@@ -215,7 +261,7 @@ class TestChessboard:
         rng = np.random.default_rng(5)
         for _ in range(300):
             x = rng.uniform(-0.1, 1.1, size=2)
-            assert abs(rho.psi_value(x)) <= 0.1 + 1e-15
+            assert abs(psi_value(rho, x)) <= 0.1 + 1e-15
 
     def test_json_roundtrip(self):
         rho = chessboard_psi(desk_families(levels=2), xi=F(1, 10),
@@ -253,7 +299,7 @@ class TestIntegration:
         rng = np.random.default_rng(11)
         n = 120_000
         pts = rng.uniform([0, 0], [1 / 12, 1 / 24], size=(n, 2))
-        vals = np.array([rho.psi_value(p) for p in pts])
+        vals = np.array([psi_value(rho, p) for p in pts])
         vol = (1 / 12) * (1 / 24)
         est = vals.mean() * vol
         sigma = vals.std() * vol / math.sqrt(n)

@@ -10,6 +10,7 @@ from netlab.errors import ConfigurationError, DomainError
 from netlab.moduli import identity
 from netlab.geomlab import (
     AffineMap,
+    PiecewiseStretch,
     SymdiffReport,
     VolumeEstimate,
     _MC_BLOCK,
@@ -23,7 +24,6 @@ from netlab.geomlab import (
     default_pi_d,
     identity_map,
     image_volume,
-    injectivity_check,
     run_algorithm_b1,
     shear_map,
     symdiff_bound_check,
@@ -49,7 +49,9 @@ class TestMaps:
     def test_radial_bump_roundtrip(self):
         bump = RadialBump([0.3, 0.3], 0.2, 1.5)
         pts = np.random.default_rng(1).uniform(-1, 1, size=(50, 2))
-        assert np.allclose(bump.invert(bump(pts)), pts, atol=1e-9)
+        box = [(-1.0, 1.0), (-1.0, 1.0)]
+        assert bump.preimage_in(bump(pts), box).all()
+        assert not bump.preimage_in(bump(pts), [(2.0, 4.0), (-1.0, 1.0)]).any()
 
     @pytest.mark.parametrize("centre, amp", [
         ([0.5, 0.5], -1.0), ([0.5, 0.5], -3.0), ([0.5, 0.5], math.exp(1.5) / 2),
@@ -79,15 +81,19 @@ class TestMaps:
         with pytest.raises(DomainError):
             two_region_stretch(1.0, 0.9, 0.3, 2.0)
 
-    def test_injectivity_check(self):
-        assert injectivity_check(identity_map(2), [(0, 1), (0, 1)])
+    @pytest.mark.parametrize("breaks, slopes", [
+        ([0.0, 0.6, 0.2], [1.0, 3.0, 1.0]),       # folds 0.1 and 0.9 onto 0.1
+        ([0.0, math.nan, 1.0], [1.0, 1.0, 1.0]),
+        ([0.0, 0.5], [1.0, math.inf]),
+    ], ids=["decreasing-breaks", "nan-break", "inf-slope"])
+    def test_piecewise_stretch_rejects_non_injective_or_non_finite(self, breaks, slopes):
+        with pytest.raises(DomainError):
+            PiecewiseStretch(breaks, slopes, d=2)
 
-        class Fold:
-            def __call__(self, x):
-                x = np.atleast_2d(x)
-                return np.abs(x - 0.5)
-
-        assert not injectivity_check(Fold(), [(0, 1), (0, 1)])
+    def test_piecewise_stretch_keeps_equal_breaks(self):
+        h = two_region_stretch(1.0, 0.3, 0.0, 1.5)
+        assert list(h.breaks) == [0.0, 0.3, 0.3]
+        assert h(np.array([[1.0]]))[0, 0] == pytest.approx(1.0)
 
 
 class TestStatement1:
@@ -203,25 +209,9 @@ class TestImageVolume:
         mc = image_volume(bump, box, mode="monte_carlo", budget=200_000)
         assert g.lower <= mc.value <= g.upper
 
-    class Fold:
-        def __call__(self, x):
-            return np.abs(np.atleast_2d(x) - 0.5)
-
-        def invert(self, y):
-            return np.atleast_2d(y) + 0.5
-
-        def volume_factor(self):
-            return None
-
-    def test_non_injective_rejected(self):
-        with pytest.raises(DomainError):
-            image_volume(self.Fold(), [(0, 1), (0, 1)], mode="monte_carlo",
-                         budget=1000)
-
     def test_unknown_mode_rejected_before_sampling(self):
-        # the mode is checked first, so the non-injective map is never probed
         with pytest.raises(ConfigurationError, match="unknown mode"):
-            image_volume(self.Fold(), [(0, 1), (0, 1)], mode="raster")
+            image_volume(identity_map(2), [(0, 1), (0, 1)], mode="raster")
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +328,8 @@ def _reference_in_box(y, bump, box):
 
 
 class TestInverseOracle:
-    """``invert`` and ``preimage_in`` against the fixed 100-step bisection
-    and its box test, bit for bit."""
+    """``preimage_in`` against the box test of the fixed 100-step bisection's
+    inverse, bit for bit."""
 
     @staticmethod
     def _case(d, amp):
@@ -361,14 +351,6 @@ class TestInverseOracle:
         return np.vstack([uniform, bump.center, img,
                           bump(np.nextafter(faces, -np.inf)),
                           bump(np.nextafter(faces, np.inf))])
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("amp", [-0.6, 0.8, 2.2])
-    def test_invert_matches_reference(self, d, amp):
-        rng, bump, boxes = self._case(d, amp)
-        for box in boxes:
-            y = self._samples(rng, bump, box)
-            assert np.array_equal(bump.invert(y), reference_invert(bump, y))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("amp", [-0.6, 0.8, 2.2])

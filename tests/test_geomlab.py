@@ -95,6 +95,20 @@ class TestMaps:
         assert list(h.breaks) == [0.0, 0.3, 0.3]
         assert h(np.array([[1.0]]))[0, 0] == pytest.approx(1.0)
 
+    def test_injectivity_check(self):
+        # every class is injective by construction: maps at the edges of
+        # what the constructors accept send a 12x12 grid to 144 distinct points
+        top = math.exp(1.5) / 2
+        maps = [identity_map(2), shear_map(0.7),
+                AffineMap([[1.0, 1.0], [1.0, 1.001]]),
+                RadialBump([0.5, 0.5], -0.99, 0.3),
+                RadialBump([0.5, 0.5], 0.99 * top, 0.3),
+                two_region_stretch(1.0, 0.3, 0.0, 1.5, d=2),
+                two_region_stretch(1.0, 0.3, 0.2, 1.5, d=2)]
+        grid = _grid_points([(0.0, 1.0), (0.0, 1.0)], 12)
+        for h in maps:
+            assert len(np.unique(h(grid), axis=0)) == 144
+
 
 class TestStatement1:
     def test_identity_full_omega_zero_residual(self):
@@ -208,6 +222,14 @@ class TestImageVolume:
         g = image_volume(bump, box, mode="grid", budget=40_000)
         mc = image_volume(bump, box, mode="monte_carlo", budget=200_000)
         assert g.lower <= mc.value <= g.upper
+
+    def test_non_injective_rejected(self):
+        # no non-injective map reaches image_volume: a singular matrix and a
+        # stretch that folds 0.1 and 0.9 onto 0.1 are refused when built
+        with pytest.raises(DomainError, match="singular"):
+            AffineMap([[1.0, 2.0], [0.5, 1.0]])
+        with pytest.raises(DomainError, match="injectivity"):
+            PiecewiseStretch([0.0, 0.6, 0.2], [1.0, 3.0, 1.0], d=2)
 
     def test_unknown_mode_rejected_before_sampling(self):
         with pytest.raises(ConfigurationError, match="unknown mode"):
@@ -351,6 +373,22 @@ class TestInverseOracle:
         return np.vstack([uniform, bump.center, img,
                           bump(np.nextafter(faces, -np.inf)),
                           bump(np.nextafter(faces, np.inf))])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("amp", [-0.6, 0.8, 2.2])
+    def test_invert_matches_reference(self, d, amp):
+        # the preimage preimage_in decides on is the reference inverse bit
+        # for bit: the one-point box at it holds it, the box one ulp above
+        # along the first axis does not
+        rng, bump, boxes = self._case(d, amp)
+        for box in boxes:
+            y = self._samples(rng, bump, box)
+            y = np.vstack([y[:20], y[-40:]])
+            for row, x in zip(y, reference_invert(bump, y)):
+                at = [(v, v) for v in x]
+                above = [(np.nextafter(x[0], np.inf),) * 2] + at[1:]
+                assert bump.preimage_in(row[None, :], at)[0]
+                assert not bump.preimage_in(row[None, :], above)[0]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("amp", [-0.6, 0.8, 2.2])
